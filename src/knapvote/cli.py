@@ -23,6 +23,7 @@ from .core import (
     GuardrailError,
     Objective,
     ValidationError,
+    _is_int,
     evaluate,
     per_voter_utilities,
     total_cost,
@@ -236,15 +237,13 @@ def _require_keys(params: dict, required: set[str], optional: set[str] = frozens
 
 
 def _int_list(value: Any, label: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise ValidationError(f"{label} must be an array of integers")
     return value
 
 
 def _as_int(value: Any, label: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"{label} must be an integer")
     return value
 

@@ -13,14 +13,10 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .core import Instance, Solution, ValidationError, require_valid
+from .core import Instance, Solution, ValidationError, _is_int, require_valid
 from .reductions import ReductionOutput
 
 _APPROXIMATE_METHODS = ("greedy", "greedy-approximate")
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_json(text: str) -> Any:

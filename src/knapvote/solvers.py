@@ -13,8 +13,10 @@ Solver map:
 - :func:`solve_diverse_sp_dp` - diverse objective on a single-peaked profile.
 - :func:`solve_ordered_diverse_dp` - diverse objective relative to a fixed
   voter order (exact for single-crossing orders, a lower bound otherwise).
-- :func:`solve_diverse_sc`, :func:`solve_diverse_fpt` - single-crossing
-  recognition front end, and the try-all-voter-orders variant.
+- :func:`solve_diverse_sc` - single-crossing recognition front end to the
+  fixed-order table.
+- :func:`solve_diverse_fpt` - diverse objective for few voters, a DP over
+  subsets of the distinct voter rows.
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact per-voter totals.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
   for the diverse objective and for the logarithm of the fair objective.
@@ -56,8 +58,10 @@ class SolveOptions:
     """Resource caps shared by all solvers.
 
     max_bruteforce_items: refuse exhaustive search beyond this many items.
-    max_dp_cells: refuse any table whose cell count would exceed this.
-    max_fpt_voters: refuse the all-voter-orders solver beyond this many voters.
+    max_dp_cells: refuse any table whose cell count would exceed this; for
+        the voter-subset DP, the cells of work it would do.
+    max_fpt_voters: refuse the voter-subset DP beyond this many voters (raw
+        count, duplicates included); its work is capped by max_dp_cells.
     greedy_seed_size: enumerated seed cardinality for the density greedy.
     """
 
@@ -487,35 +491,106 @@ def solve_diverse_sc(
 def solve_diverse_fpt(
     instance: Instance, options: Optional[SolveOptions] = None
 ) -> Solution:
-    """Exact diverse optimum by trying every voter order (use for few voters).
+    """Exact diverse optimum by a DP over subsets of the distinct voter rows.
 
-    Some voter order always realizes the optimum (sort voters by a best item
-    of theirs in an optimal knapsack), so the maximum over all orders is exact.
+    In an optimal knapsack, the voters that share a best item form a block, so
+    the optimum splits the k distinct voter rows into blocks, one item each.
+    The table is indexed by the set S of covered rows, and every S starts
+    covered by no item, at value 0 and cost 0. A step lets the block T that
+    holds the lowest uncovered row pick one item a, gaining a's utility over
+    every voter in T. An item chosen for two blocks is paid twice, which can
+    only overcount cost, so the optimal value and the least cost at that value
+    are both exact. Each row of the table runs over cost (best value within
+    that cost) or over value (least cost reaching it), whichever axis is
+    shorter; the work is 3^k * m * (axis + 1). On equal value and cost, no
+    item wins over an item, and a lower item index over a higher one.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
     n = instance.num_voters
     if n > opts.max_fpt_voters:
         raise GuardrailError(
-            f"all-orders search over {n} voters exceeds the cap of {opts.max_fpt_voters}"
+            f"subset DP over {n} voters exceeds the cap of {opts.max_fpt_voters}"
         )
-    best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    afford = min(instance.budget, sum(instance.costs))
-    for perm in itertools.permutations(range(n)):
-        table = ordered_diverse_table(instance, perm, opts)
-        x, cost = _table_answer(table, afford)
-        if best is not None and (x, -cost) < (best[0], -best[1]):
-            continue
-        sel = (
-            ()
-            if x == 0
-            else tuple(_reconstruct_ordered(instance, perm, table, x))
+    rows, mults = _collapse_voters(instance)
+    k = len(rows)
+    m = instance.num_items
+    costs = instance.costs
+    afford = min(instance.budget, sum(costs))
+    ubound = instance.total_utility()
+    by_cost = afford <= ubound
+    width = (afford if by_cost else ubound) + 1
+    work = 3**k * m * width
+    if work > opts.max_dp_cells:
+        raise GuardrailError(
+            f"subset DP over {k} distinct voter rows needs {work} cells of work,"
+            f" over the cap of {opts.max_dp_cells}"
         )
-        cand = (x, cost, sel)
-        if best is None or _better(cand, best):
-            best = cand
-    assert best is not None
-    return make_solution(instance, Objective.DIVERSE, best[2], "fpt")
+    full = (1 << k) - 1
+    # val[T][a]: item a's utility summed over every voter of the rows in T
+    vdt: object = np.int64 if ubound < 2**62 else object
+    val = np.zeros((full + 1, m), dtype=vdt)
+    for t in range(1, full + 1):
+        r = (t & -t).bit_length() - 1
+        val[t] = val[t & (t - 1)] + mults[r] * np.array(rows[r], dtype=vdt)
+    # table[S][p]: by cost, the best value covering S within cost p; by value,
+    # minus the least cost covering S with value at least p (both maximize)
+    axis = np.arange(width)
+    if by_cost:
+        table = np.zeros((full + 1, width), dtype=vdt)
+        src = axis - np.array([min(c, width) for c in costs])[:, None]
+        fits = src >= 0
+        src[~fits] = 0
+        unfit = -(ubound + 1)
+    else:
+        inf = sum(costs) + 1
+        dt: object = np.int64 if inf + max(costs) < 2**62 else object
+        table = np.full((full + 1, width), -inf, dtype=dt)
+        table[:, 0] = 0
+        neg_costs = -np.array(costs, dtype=dt)[:, None]
+    par_set = np.zeros((full + 1, width), dtype=np.int32)
+    par_item = np.full((full + 1, width), -1, dtype=np.int32)
+    for s in range(full):
+        if s and not s & 1:
+            continue  # sorted by lowest row, an optimal split covers row 0 first
+        row = table[s]
+        if by_cost:
+            shifted = np.where(fits, row[src], unfit)
+        free = full & ~s
+        low = free & -free
+        rest = free ^ low
+        sub = rest
+        while True:
+            t = s | low | sub
+            if by_cost:
+                cand = shifted + val[t ^ s][:, None]
+            else:
+                cand = row[np.maximum(axis - val[t ^ s][:, None], 0)] + neg_costs
+            pick = cand.argmax(axis=0)
+            best = cand[pick, axis]
+            better = best > table[t]
+            table[t][better] = best[better]
+            par_set[t][better] = s
+            par_item[t][better] = pick[better]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    last = table[full]
+    if by_cost:
+        p = int(np.argmax(last == last[-1]))  # least cost reaching the optimum
+    else:
+        p = int(np.nonzero(last >= -afford)[0].max())
+    # by value, the blocks' values sum to exactly p at the optimum (a larger
+    # sum would be a larger reachable value), so p never drops below 0
+    items: set[int] = set()
+    s = full
+    while par_item[s][p] >= 0:
+        a = int(par_item[s][p])
+        prev = int(par_set[s][p])
+        items.add(a)
+        p -= costs[a] if by_cost else int(val[s ^ prev][a])
+        s = prev
+    return make_solution(instance, Objective.DIVERSE, sorted(items), "fpt")
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +776,8 @@ def solve_auto(
     """Solve with the cheapest applicable exact method, or fall back.
 
     Additive: value table, then brute force. Diverse: single-peaked table if a
-    peak order is recognized, else single-crossing, else all voter orders when
-    few voters, else brute force. Fair: per-voter vector table, then brute
+    peak order is recognized, else single-crossing, else the voter-subset DP
+    when few voters, else brute force. Fair: per-voter vector table, then brute
     force. When everything trips a guardrail the density greedy runs and the
     result is tagged "greedy-approximate"; this function never fails on a
     valid instance.

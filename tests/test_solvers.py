@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
@@ -20,6 +21,8 @@ from knapvote import (
     from_x3c,
     is_connected_assignment,
     ordered_diverse_table,
+    recognize_single_crossing,
+    recognize_single_peaked,
     solve_auto,
     solve_diverse_fpt,
     solve_diverse_sc,
@@ -308,6 +311,48 @@ def test_fpt_guardrail():
     with pytest.raises(GuardrailError):
         solve_diverse_fpt(inst)
     assert solve_diverse_fpt(inst, SolveOptions(max_fpt_voters=9)).value.score == 9
+
+
+def test_fpt_work_guardrail_sends_auto_to_brute():
+    inst = make_instance([[0, 1, 2], [2, 2, 1], [2, 1, 2]], budget=2)
+    assert recognize_single_peaked(inst) is None
+    assert recognize_single_crossing(inst) is None
+    opts = SolveOptions(max_dp_cells=50)
+    with pytest.raises(GuardrailError, match="cells of work"):
+        solve_diverse_fpt(inst, opts)
+    sol = solve_auto(inst, Objective.DIVERSE, opts)
+    assert sol.method == "bruteforce"
+    assert sol.value.score == brute_force(inst, Objective.DIVERSE).value.score
+
+
+@st.composite
+def fpt_instances(draw):
+    m = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 6), min_size=m, max_size=m)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    # voters drawn from a small pool of rows, so rows repeat
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    costs = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    total = sum(costs)
+    budget = draw(
+        st.one_of(st.just(0), st.integers(0, total), st.integers(total, total + 5))
+    )
+    return make_instance(rows, costs=costs, budget=budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fpt_instances())
+@example(make_instance([[3, 1], [3, 1], [0, 4]], costs=[2, 1], budget=0))
+@example(make_instance([[0, 0, 0], [0, 0, 0]], costs=[1, 2, 3], budget=4))
+@example(make_instance([[1, 5], [4, 2], [1, 5]], costs=[2, 3], budget=9))
+@example(make_instance([[9, 1, 2], [1, 9, 2]], costs=[7, 1, 1], budget=2))
+@example(make_instance([[1, 0, 2], [0, 1, 0]], costs=[5, 6, 7], budget=18))
+@example(make_instance([[10**20, 1], [1, 10**20]], costs=[1, 1], budget=1))
+@example(make_instance([[1, 2], [2, 1]], costs=[10**20, 10**20 + 1], budget=10**20 + 1))
+def test_fpt_agrees_with_brute_force(inst):
+    sol = solve_diverse_fpt(inst)
+    ref = brute_force(inst, Objective.DIVERSE)
+    assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
 
 
 # per-voter utility-vector DP
