@@ -6,6 +6,11 @@ minimum total cost. Resource caps live in :class:`SolveOptions`; a computation
 that would exceed them raises :class:`~knapvote.core.GuardrailError` before
 doing the work.
 
+The ib, single-peaked and fixed-order routes share one value table: entry x
+of a row is the least cost reaching value at least x, "nothing chosen yet" is
+the row [0, inf, ...], and :func:`_relax` is the only step that updates a row.
+Each walks back by re-deriving every choice from the stored rows.
+
 Solver map:
 
 - :func:`brute_force` - any objective, exhaustive, capped by item count.
@@ -58,8 +63,7 @@ class SolveOptions:
     """Resource caps shared by all solvers.
 
     max_bruteforce_items: refuse exhaustive search beyond this many items.
-    max_dp_cells: refuse any table whose cell count would exceed this; for
-        the voter-subset DP, the cells of work it would do.
+    max_dp_cells: refuse any table whose cells of work would exceed this.
     max_fpt_voters: refuse the voter-subset DP beyond this many voters (raw
         count, duplicates included); its work is capped by max_dp_cells.
     greedy_seed_size: enumerated seed cardinality for the density greedy.
@@ -190,14 +194,74 @@ def brute_force(
 
 
 # ---------------------------------------------------------------------------
+# value tables
+
+
+def _empty_row(instance: Instance, width: int) -> tuple[np.ndarray, int, int]:
+    """The value-table row of the empty knapsack, the sentinel, and the limit.
+
+    Entry x of a value-table row is the least cost of a knapsack whose value
+    reaches at least x. The empty knapsack costs 0 at x = 0 and reaches no
+    x > 0, which rows mark with the sentinel Σcosts + 1, above every real
+    cost. Rows hold int64 unless a cost added to the sentinel could pass 2^62,
+    and Python ints (``object``) then. The limit is the budget clamped to
+    Σcosts, so that the sentinel never counts as affordable.
+    """
+    costs = instance.costs
+    inf = sum(costs) + 1
+    row = np.full(width, inf, dtype=np.int64 if inf + max(costs) < 2**62 else object)
+    row[0] = 0
+    return row, inf, min(instance.budget, inf - 1)
+
+
+def _relax(row: np.ndarray, src: np.ndarray, shift: int, add: int) -> None:
+    """``row[x] = min(row[x], src[max(x - shift, 0)] + add)`` for every x.
+
+    The one update step of every value table: extend the knapsacks of ``src``
+    by a choice worth ``shift`` value at ``add`` cost. ``src`` may be ``row``
+    itself; every read sees it as it was before the call. ``row`` may also be
+    a stack of rows, each relaxed by the same ``src``.
+    """
+    width = row.shape[-1]
+    cut = min(shift, width)
+    head = src[..., :1] + add
+    np.minimum(row[..., cut:], src[..., : width - cut] + add, out=row[..., cut:])
+    np.minimum(row[..., :cut], head, out=row[..., :cut])
+
+
+def _step_back(
+    rows: Sequence[np.ndarray], x: int, target, shifts: np.ndarray, adds
+) -> tuple[int, int, int]:
+    """Undo one :func:`_relax` step that set an entry to ``target`` at x.
+
+    Source s is ``rows[s]`` and choice k relaxes it by ``shifts[s, k]`` at cost
+    ``adds[k]``. Of the (s, k) that give the target, source 0 (the empty row)
+    wins, then the lowest k, then the lowest s. Returns s, k and the column of
+    ``rows[s]`` that was read.
+    """
+    cols = np.maximum(x - shifts, 0)
+    hit = np.array([src[c] for src, c in zip(rows, cols)]) + adds == target
+    s, k = min(zip(*np.nonzero(hit)), key=lambda sk: (sk[0] > 0, sk[1], sk[0]))
+    return int(s), int(k), int(cols[s, k])
+
+
+def _reach(row: np.ndarray, limit: int) -> int:
+    """Largest x whose entry is within the limit (0 when none is)."""
+    hits = np.flatnonzero(row <= limit)
+    return int(hits[-1]) if len(hits) else 0
+
+
+# ---------------------------------------------------------------------------
 # additive objective
 
 
 def solve_ib_dp(instance: Instance, options: Optional[SolveOptions] = None) -> Solution:
     """Exact additive-objective optimum via a min-cost-per-value table.
 
-    Row j, column x holds the cheapest subset of the first j items whose
-    summed per-item utility totals reach at least x.
+    The row starts as the empty row and is relaxed by each item in turn,
+    shifted by the item's summed utility at the item's cost. Only a mask of
+    the entries each item strictly improved is kept, which is enough to walk
+    back. Work and memory are m * (U + 1) for U the total utility.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
@@ -209,35 +273,18 @@ def solve_ib_dp(instance: Instance, options: Optional[SolveOptions] = None) -> S
             f"value table needs {cells} cells, over the cap of {opts.max_dp_cells}"
         )
     w = [instance.column_sum(j) for j in range(m)]
-    costs = instance.costs
-    inf = sum(costs) + 1
-    prev = [0] + [inf] * uhat
-    keep: list[bytearray] = []
+    row, _, limit = _empty_row(instance, uhat + 1)
+    took = []
     for j in range(m):
-        cur = prev.copy()
-        kb = bytearray(uhat + 1)
-        cj = costs[j]
-        wj = w[j]
-        for x in range(1, uhat + 1):
-            v = prev[x - wj if x > wj else 0] + cj
-            if v < cur[x]:
-                cur[x] = v
-                kb[x] = 1
-        keep.append(kb)
-        prev = cur
-    # inf only exceeds real costs, not necessarily the budget, so clamp
-    affordable = min(instance.budget, inf - 1)
-    xstar = 0
-    for x in range(uhat, -1, -1):
-        if prev[x] <= affordable:
-            xstar = x
-            break
+        before = row.copy()
+        _relax(row, before, w[j], instance.costs[j])
+        took.append(row < before)
+    x = _reach(row, limit)
     sel = []
-    x = xstar
     for j in range(m - 1, -1, -1):
-        if x > 0 and keep[j][x]:
+        if took[j][x]:
             sel.append(j)
-            x = x - w[j] if x > w[j] else 0
+            x = max(x - w[j], 0)
     return make_solution(instance, Objective.IB, sel, "ib-dp")
 
 
@@ -255,7 +302,9 @@ def solve_diverse_sp_dp(
     Along a single-peaked item order, adding an item to a set of items that all
     sit earlier in the order raises each voter's best utility by a quantity
     that depends only on the new item and the latest previous one, which makes
-    a last-item recurrence exact.
+    a last-item recurrence exact. Row p holds the knapsacks whose latest item
+    sits at position p: the empty row and every earlier row, each relaxed by
+    that item. The work is m(m+1)/2 * (U + 1), checked before it starts.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
@@ -263,72 +312,34 @@ def solve_diverse_sp_dp(
     if not verify_single_peaked(instance, order):
         raise ValidationError("profile is not single-peaked under the given item order")
     m = instance.num_items
-    n = instance.num_voters
     ubound = instance.total_utility()
-    cells = m * (ubound + 1)
-    if cells > opts.max_dp_cells:
+    work = m * (m + 1) // 2 * (ubound + 1)
+    if work > opts.max_dp_cells:
         raise GuardrailError(
-            f"value table needs {cells} cells, over the cap of {opts.max_dp_cells}"
+            f"single-peaked table needs {work} cells of work, over the cap of"
+            f" {opts.max_dp_cells}"
         )
-    col = [[instance.utilities[i][order[p]] for i in range(n)] for p in range(m)]
-    cost2 = [instance.costs[order[p]] for p in range(m)]
-    colsum = [sum(c) for c in col]
-    # gain[p][q]: diverse value added by the item at position p on top of a set
-    # whose latest position is q
-    gain = [[0] * m for _ in range(m)]
+    # cols[s]: each voter's utility for the latest item of source s, where
+    # source 0 is the empty knapsack and source p + 1 ends at position p
+    cols = np.zeros((m + 1, instance.num_voters), dtype=np.int64)
+    cols[1:] = np.array(instance.utilities, dtype=np.int64).T[list(order)]
+    # gains[p][s]: diverse value the item at position p adds on top of source s
+    gains = [np.maximum(cols[p + 1] - cols[: p + 1], 0).sum(axis=1) for p in range(m)]
+    costs = [instance.costs[j] for j in order]
+    empty, inf, limit = _empty_row(instance, ubound + 1)
+    table = np.full((m, ubound + 1), inf, dtype=empty.dtype)
+    rows = [empty, *table]
     for p in range(m):
-        for q in range(p):
-            gain[p][q] = sum(
-                cp - cq for cp, cq in zip(col[p], col[q]) if cp > cq
-            )
-    inf = sum(instance.costs) + 1
-    table = [[inf] * (ubound + 1) for _ in range(m)]
-    par = [[-2] * (ubound + 1) for _ in range(m)]
-    for p in range(m):
-        cp = cost2[p]
-        row = table[p]
-        prow = par[p]
-        for x in range(ubound + 1):
-            best = inf
-            bq = -2
-            if colsum[p] >= x:
-                best = cp
-                bq = -1
-            for q in range(p):
-                xx = x - gain[p][q]
-                v = cp + table[q][xx if xx > 0 else 0]
-                if v < best:
-                    best = v
-                    bq = q
-            row[x] = best
-            prow[x] = bq
-    affordable = min(instance.budget, inf - 1)
-    xstar = 0
-    start = -1
-    for x in range(ubound, 0, -1):
-        cand = min(
-            ((table[p][x], p) for p in range(m) if table[p][x] <= affordable),
-            default=None,
-        )
-        if cand is not None:
-            xstar = x
-            start = cand[1]
-            break
-    positions = []
-    if xstar > 0:
-        p, x = start, xstar
-        while True:
-            positions.append(p)
-            q = par[p][x]
-            if q == -1:
-                break
-            x = x - gain[p][q]
-            if x < 0:
-                x = 0
-            p = q
-    return make_solution(
-        instance, Objective.DIVERSE, sorted(order[p] for p in positions), "sp-dp"
-    )
+        for s in range(p + 1):
+            _relax(table[p], rows[s], int(gains[p][s]), costs[p])
+    x = _reach(table.min(axis=0), limit)
+    s = int(np.argmin(table[:, x])) + 1 if x else 0  # the cheapest, then earliest
+    chosen = []
+    while s:
+        p = s - 1
+        chosen.append(order[p])
+        s, _, x = _step_back(rows, x, rows[s][x], gains[p][:, None], costs[p])
+    return make_solution(instance, Objective.DIVERSE, chosen, "sp-dp")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +358,11 @@ def ordered_diverse_table(
     collect at least x total utility, each voter counting their segment's item.
     The last row lower-bounds the budgeted diverse optimum for every order and
     matches it when the order is single-crossing.
+
+    Running row a holds the finished rows (the empty row, earlier rows) with
+    a segment of item a open after them, shifted by a's utility since. Row t
+    is the least running row plus its item's cost, and then joins every
+    running row. The work is n * m * (U + 1).
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
@@ -354,99 +370,22 @@ def ordered_diverse_table(
     n = instance.num_voters
     m = instance.num_items
     ubound = instance.total_utility()
-    cells = n * (ubound + 1) * m
-    if cells > opts.max_dp_cells:
+    work = n * (ubound + 1) * m
+    if work > opts.max_dp_cells:
         raise GuardrailError(
-            f"order table needs {cells} cells of work, over the cap of {opts.max_dp_cells}"
+            f"order table needs {work} cells of work, over the cap of {opts.max_dp_cells}"
         )
-    costs = instance.costs
-    inf = sum(costs) + 1
-    dt: object = np.int64 if inf + max(costs) < 2**62 else object
-    # prefix[a][t]: item a's utility summed over the first t+1 ordered voters
-    prefix = [[0] * n for _ in range(m)]
-    for a in range(m):
-        acc = 0
-        for t in range(n):
-            acc += instance.utilities[voter_order[t]][a]
-            prefix[a][t] = acc
-    table = np.full((n, ubound + 1), inf, dtype=dt)
-    width = ubound + 1
-    for i in range(n):
-        row = table[i]
-        for a in range(m):
-            pa = min(prefix[a][i], ubound) + 1
-            np.minimum(row[:pa], costs[a], out=row[:pa])
-        for t in range(i):
-            prow = table[t]
-            for a in range(m):
-                delta = prefix[a][i] - prefix[a][t]
-                ca = costs[a]
-                if delta == 0:
-                    np.minimum(row, prow + ca, out=row)
-                    continue
-                sh = np.empty(width, dtype=dt)
-                d = min(delta, width)
-                sh[:d] = prow[0]
-                if d < width:
-                    sh[d:] = prow[: width - d]
-                np.minimum(row, sh + ca, out=row)
+    empty, inf, _ = _empty_row(instance, ubound + 1)
+    table = np.full((n, ubound + 1), inf, dtype=empty.dtype)
+    running = np.tile(empty, (m, 1))
+    for t, v in enumerate(voter_order):
+        row = table[t]
+        for a, u in enumerate(instance.utilities[v]):
+            # rows never decrease along x, so relaxing one by itself shifts it
+            _relax(running[a], running[a], u, 0)
+            _relax(row, running[a], 0, instance.costs[a])
+        _relax(running, row, 0, 0)
     return table
-
-
-def _table_answer(table: np.ndarray, budget: int) -> tuple[int, int]:
-    """Largest reachable x within budget and its cost (0, 0 when only the
-    empty knapsack fits)."""
-    last = table[-1]
-    hits = np.nonzero(last <= budget)[0]
-    if len(hits) == 0:
-        return 0, 0
-    x = int(hits.max())
-    if x == 0:
-        return 0, 0
-    return x, int(last[x])
-
-
-def _reconstruct_ordered(
-    instance: Instance,
-    voter_order: Sequence[int],
-    table: np.ndarray,
-    xstar: int,
-) -> list[int]:
-    n = instance.num_voters
-    m = instance.num_items
-    costs = instance.costs
-    prefix = [[0] * n for _ in range(m)]
-    for a in range(m):
-        acc = 0
-        for t in range(n):
-            acc += instance.utilities[voter_order[t]][a]
-            prefix[a][t] = acc
-    items: set[int] = set()
-    i = n - 1
-    x = xstar
-    while True:
-        target = int(table[i][x])
-        base = next(
-            (a for a in range(m) if costs[a] == target and prefix[a][i] >= x), None
-        )
-        if base is not None:
-            items.add(base)
-            break
-        step = None
-        for a in range(m):
-            ca = costs[a]
-            for t in range(i):
-                delta = prefix[a][i] - prefix[a][t]
-                xx = x - delta if x > delta else 0
-                if int(table[t][xx]) + ca == target:
-                    step = (a, t, xx)
-                    break
-            if step is not None:
-                break
-        # the table was built from exactly these transitions
-        a, i, x = step  # type: ignore[misc]
-        items.add(a)
-    return sorted(items)
 
 
 def _solve_with_voter_order(
@@ -456,9 +395,20 @@ def _solve_with_voter_order(
     opts: SolveOptions,
 ) -> Solution:
     table = ordered_diverse_table(instance, voter_order, opts)
-    xstar, _ = _table_answer(table, min(instance.budget, sum(instance.costs)))
-    sel = [] if xstar == 0 else _reconstruct_ordered(instance, voter_order, table, xstar)
-    return make_solution(instance, Objective.DIVERSE, sel, method)
+    empty, _, limit = _empty_row(instance, table.shape[1])
+    x = _reach(table[-1], limit)
+    # source s of the walk is the empty row (s = 0) or table row s - 1, and
+    # prefix[s][a] is item a's utility over the first s ordered voters
+    ordered = [instance.utilities[v] for v in voter_order]
+    prefix = np.cumsum([[0] * instance.num_items, *ordered], axis=0)
+    rows = [empty, *table]
+    adds = np.array(instance.costs, dtype=empty.dtype)
+    items: set[int] = set()
+    s = len(table) if x else 0
+    while s:
+        s, a, x = _step_back(rows, x, rows[s][x], prefix[s] - prefix[:s], adds)
+        items.add(a)
+    return make_solution(instance, Objective.DIVERSE, items, method)
 
 
 def solve_ordered_diverse_dp(

@@ -162,6 +162,19 @@ def test_sp_dp_rejects_wrong_order():
         solve_diverse_sp_dp(inst, (0, 1, 2))
 
 
+def test_sp_dp_guardrail_counts_work():
+    inst = make_instance([[1, 2, 4], [2, 3, 1]], costs=[1, 2, 2], budget=3)
+    m, u = 3, inst.total_utility()
+    # over the m * (U + 1) table cells, under the m(m+1)/2 * (U + 1) work
+    opts = SolveOptions(max_dp_cells=m * (u + 1) + 1)
+    with pytest.raises(GuardrailError, match="cells of work"):
+        solve_diverse_sp_dp(inst, (0, 1, 2), opts)
+    sol = solve_auto(inst, Objective.DIVERSE, opts)
+    assert sol.method != "sp-dp"
+    ref = brute_force(inst, Objective.DIVERSE)
+    assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
+
+
 def test_sp_dp_matches_brute_on_peaked_instances(rng):
     for _ in range(80):
         inst, order = random_single_peaked(rng)
@@ -353,6 +366,66 @@ def test_fpt_agrees_with_brute_force(inst):
     sol = solve_diverse_fpt(inst)
     ref = brute_force(inst, Objective.DIVERSE)
     assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
+
+
+# agreement of every exact route with brute force, on random instances and on
+# the edge cases: budget 0, a budget past the Σcosts + 1 sentinel, all-zero
+# utilities, duplicate voters and costs past 2^62 (Python-int tables)
+
+BIG = 2**62
+
+EDGE_CASES = (
+    make_instance([[3, 1], [0, 4]], costs=[2, 1], budget=0),
+    make_instance([[1, 1], [2, 2]], costs=[1, 1], budget=3),
+    make_instance([[2, 1], [1, 2]], costs=[2, 3], budget=10),
+    make_instance([[0, 0, 0], [0, 0, 0]], costs=[1, 2, 3], budget=4),
+    make_instance([[3, 1], [3, 1], [0, 4]], costs=[2, 1], budget=2),
+    make_instance([[1, 2], [2, 1]], costs=[BIG, BIG + 1], budget=BIG + 1),
+    make_instance([[5, 1], [1, 5]], costs=[BIG, BIG], budget=3 * BIG),
+)
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+def _assert_agrees(sol, inst, kind):
+    ref = brute_force(inst, kind)
+    assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fpt_instances(), st.randoms().map(random_instance)))
+@_with_examples(EDGE_CASES)
+def test_ib_dp_agrees_with_brute_force(inst):
+    _assert_agrees(solve_ib_dp(inst), inst, Objective.IB)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms().map(random_instance))
+@_with_examples(EDGE_CASES)
+def test_xp_dp_agrees_with_brute_force(inst):
+    _assert_agrees(solve_fair_xp_dp(inst), inst, Objective.FAIR)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms().map(random_single_peaked))
+@_with_examples((inst, tuple(range(inst.num_items))) for inst in EDGE_CASES)
+def test_sp_dp_agrees_with_brute_force(case):
+    inst, order = case
+    _assert_agrees(solve_diverse_sp_dp(inst, order), inst, Objective.DIVERSE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms().map(random_single_crossing))
+@_with_examples(EDGE_CASES)
+def test_sc_agrees_with_brute_force(inst):
+    _assert_agrees(solve_diverse_sc(inst), inst, Objective.DIVERSE)
 
 
 # per-voter utility-vector DP
