@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from typing import Any, Optional
 
@@ -29,6 +30,7 @@ from .core import (
     total_cost,
 )
 from .documents import (
+    _decimal_to_int,
     emit_evaluation,
     emit_instance,
     emit_reduction_metadata,
@@ -53,18 +55,7 @@ from .reductions import (
     from_partition,
     from_x3c,
 )
-from .solvers import (
-    DEFAULT_OPTIONS,
-    SolveOptions,
-    brute_force,
-    solve_auto,
-    solve_diverse_fpt,
-    solve_diverse_sc,
-    solve_diverse_sp_dp,
-    solve_fair_xp_dp,
-    solve_greedy,
-    solve_ib_dp,
-)
+from .solvers import _ROUTES, DEFAULT_OPTIONS, SolveOptions, solve_auto
 
 _OBJECTIVES = {"ib": Objective.IB, "diverse": Objective.DIVERSE, "fair": Objective.FAIR}
 
@@ -95,11 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance and print the solution")
     p.add_argument("--objective", required=True, choices=sorted(_OBJECTIVES))
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "bruteforce", "ib-dp", "sp-dp", "sc-dp", "fpt", "xp-dp", "greedy"],
-    )
+    p.add_argument("--method", default="auto", choices=["auto", *_ROUTES])
     p.add_argument(
         "--threshold",
         metavar="D",
@@ -159,51 +146,32 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
 
 
 def _parse_threshold(text: str) -> int:
-    body = text[1:] if text.startswith("-") else text
-    if not body.isdigit():
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise ValidationError(f"threshold must be a decimal integer, got {text!r}")
-    return int(text)
+    return _decimal_to_int(text)
 
 
 def _run_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.file))
     objective = _OBJECTIVES[args.objective]
     options = _options_from(args)
-    method = args.method
+    threshold = None if args.threshold is None else _parse_threshold(args.threshold)
 
-    if method == "auto":
+    if args.method == "auto":
         solution = solve_auto(instance, objective, options)
-    elif method == "bruteforce":
-        solution = brute_force(instance, objective, options)
-    elif method == "greedy":
-        solution = solve_greedy(instance, objective, options)
-    elif method == "ib-dp":
-        if objective is not Objective.IB:
-            raise ValidationError("method ib-dp requires --objective ib")
-        solution = solve_ib_dp(instance, options)
-    elif method == "sp-dp":
-        if objective is not Objective.DIVERSE:
-            raise ValidationError("method sp-dp requires --objective diverse")
-        order = recognize_single_peaked(instance)
-        if order is None:
-            raise ValidationError("instance is not single-peaked under any item order")
-        solution = solve_diverse_sp_dp(instance, order, options)
-    elif method == "sc-dp":
-        if objective is not Objective.DIVERSE:
-            raise ValidationError("method sc-dp requires --objective diverse")
-        solution = solve_diverse_sc(instance, options)
-    elif method == "fpt":
-        if objective is not Objective.DIVERSE:
-            raise ValidationError("method fpt requires --objective diverse")
-        solution = solve_diverse_fpt(instance, options)
     else:
-        if objective is not Objective.FAIR:
-            raise ValidationError("method xp-dp requires --objective fair")
-        solution = solve_fair_xp_dp(instance, options)
+        route = _ROUTES[args.method]
+        if route.objective not in (None, objective):
+            raise ValidationError(
+                f"method {route.name} requires --objective {route.objective.value}"
+            )
+        solution = route.run(instance, objective, options)
+        if solution is None:
+            raise ValidationError(route.outside)
 
     meets: Optional[bool] = None
-    if args.threshold is not None:
-        meets = solution.value.score >= _parse_threshold(args.threshold)
+    if threshold is not None:
+        meets = solution.value.score >= threshold
     sys.stdout.write(emit_solution(instance, solution, meets_threshold=meets))
     return 0 if meets is not False else 4
 
@@ -318,10 +286,11 @@ def _parse_graph(params: dict, colored: bool) -> SourceGraph:
 
 
 def _run_generate(args: argparse.Namespace) -> int:
+    text = _read(args.params)
     try:
-        params = json.loads(_read(args.params))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"invalid JSON in {args.params}: {e.msg}")
+        params = json.loads(text)
+    except ValueError as e:  # also an integer past the interpreter's digit limit
+        raise ValidationError(f"invalid JSON in {args.params}: {getattr(e, 'msg', e)}")
     reduction = _build_reduction(args.reduction, params)
     _write(args.out, emit_instance(reduction.instance))
     sys.stdout.write(emit_reduction_metadata(reduction))

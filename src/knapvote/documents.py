@@ -19,11 +19,43 @@ from .reductions import ReductionOutput
 _APPROXIMATE_METHODS = ("greedy", "greedy-approximate")
 
 
+# decimal digits per str()/int() call, below the least digit limit an
+# interpreter accepts (640; sys.get_int_max_str_digits() is 4300 by default)
+_CHUNK = 500
+
+
+def _int_to_decimal(n: int) -> str:
+    """Exact decimal text of an int of any length.
+
+    ``str`` refuses an int past the interpreter's digit limit, so a long one
+    is split in two around a power of ten, each half written on its own.
+    """
+    if n < 0:
+        return "-" + _int_to_decimal(-n)
+    if n.bit_length() <= 3 * _CHUNK:  # under 10^(0.302 * 3 * _CHUNK)
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _int_to_decimal(hi) + _int_to_decimal(lo).zfill(k)
+
+
+def _decimal_to_int(text: str) -> int:
+    """The int that ``-?[0-9]+`` text of any length writes; the inverse."""
+    if text.startswith("-"):
+        return -_decimal_to_int(text[1:])
+    if len(text) <= _CHUNK:
+        return int(text)
+    k = len(text) // 2
+    return _decimal_to_int(text[:-k]) * 10**k + _decimal_to_int(text[-k:])
+
+
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"invalid JSON: {e}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -123,7 +155,7 @@ def emit_solution(
         "objective": solution.value.kind.value,
         "selected": [instance.item_names[j] for j in solution.knapsack],
         "total_cost": solution.total_cost,
-        "value": str(solution.value.score),
+        "value": _int_to_decimal(solution.value.score),
         "per_voter_utility": list(solution.per_voter_utility),
     }
     if solution.method in _APPROXIMATE_METHODS:
@@ -146,7 +178,7 @@ def emit_evaluation(
         "objective": kind_label,
         "selected": [instance.item_names[j] for j in selected],
         "total_cost": total_cost,
-        "value": str(score),
+        "value": _int_to_decimal(score),
         "per_voter_utility": list(per_voter),
         "feasible": feasible,
     }
@@ -159,7 +191,7 @@ def emit_reduction_metadata(reduction: ReductionOutput) -> str:
     exact decimal threshold, witness orders, and the item-to-source map."""
     doc = {
         "objective": reduction.kind.value,
-        "threshold": str(reduction.threshold),
+        "threshold": _int_to_decimal(reduction.threshold),
         "sp_witness": list(reduction.sp_witness) if reduction.sp_witness else None,
         "sc_witness": list(reduction.sc_witness) if reduction.sc_witness else None,
         "back_map": {k: list(v) for k, v in reduction.back_map.items()},

@@ -11,7 +11,9 @@ of a row is the least cost reaching value at least x, "nothing chosen yet" is
 the row [0, inf, ...], and :func:`_relax` is the only step that updates a row.
 Each walks back by re-deriving every choice from the stored rows.
 
-Solver map:
+Solver map; ``_ROUTES`` holds the routes, by their ``--method`` names, in the
+order :func:`solve_auto` tries them: ib-dp, sp-dp, sc-dp, fpt, xp-dp,
+bruteforce, then greedy, the inexact fallback.
 
 - :func:`brute_force` - any objective, exhaustive, capped by item count.
 - :func:`solve_ib_dp` - additive objective, table over achieved value.
@@ -25,8 +27,8 @@ Solver map:
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact per-voter totals.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
   for the diverse objective and for the logarithm of the fair objective.
-- :func:`solve_auto` - picks the best applicable method, falling back to the
-  greedy when every exact route trips a guardrail.
+- :func:`solve_auto` - runs the first exact route that applies, falling back to
+  the greedy when every exact route is skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -430,12 +432,11 @@ def solve_diverse_sc(
     instance: Instance, options: Optional[SolveOptions] = None
 ) -> Solution:
     """Exact diverse optimum for single-crossing profiles (recognizes the order)."""
-    opts = options or DEFAULT_OPTIONS
     require_valid(instance)
-    order = recognize_single_crossing(instance)
-    if order is None:
-        raise ValidationError("utility profile is not single-crossing")
-    return _solve_with_voter_order(instance, order, "sc-dp", opts)
+    solution = _sc_route(instance, options or DEFAULT_OPTIONS)
+    if solution is None:
+        raise ValidationError(_ROUTES["sc-dp"].outside)
+    return solution
 
 
 def solve_diverse_fpt(
@@ -555,7 +556,7 @@ def solve_fair_xp_dp(
     Layer j maps each reachable vector of per-voter totals (over the first j
     items) to its minimum cost; the product is maximized over the final layer.
     State count is bounded by the product of (1 + each voter's total utility),
-    which the guardrail checks up front in exact integer arithmetic.
+    which the guardrail checks up front, stopping once it passes the cap.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
@@ -564,11 +565,10 @@ def solve_fair_xp_dp(
     bound = m
     for row in instance.utilities:
         bound *= 1 + sum(row)
-    if bound > opts.max_dp_cells:
-        raise GuardrailError(
-            f"per-voter vector table needs up to {bound} cells, over the cap of"
-            f" {opts.max_dp_cells}"
-        )
+        if bound > opts.max_dp_cells:
+            raise GuardrailError(
+                f"per-voter vector table is over the cap of {opts.max_dp_cells} cells"
+            )
     cols = [tuple(row[j] for row in instance.utilities) for j in range(m)]
     costs = instance.costs
     layers: list[dict[tuple[int, ...], int]] = [{(0,) * n: 0}]
@@ -713,7 +713,63 @@ def solve_greedy(
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# route table and dispatcher
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One solver route: what ``--method NAME`` runs and :func:`solve_auto` tries.
+
+    ``objective`` None means any objective. ``run(instance, kind, options)``
+    returns None when the instance is outside the route's domain, and
+    ``outside`` then says why. Entries look the solvers up as module globals
+    at call time, so a wrapper rebound over a solver's name sees every call.
+    """
+
+    name: str
+    objective: Optional[Objective]
+    exact: bool
+    run: Callable[[Instance, Objective, SolveOptions], Optional[Solution]]
+    outside: str = ""
+
+
+def _sp_route(instance: Instance, opts: SolveOptions) -> Optional[Solution]:
+    order = recognize_single_peaked(instance)
+    return None if order is None else solve_diverse_sp_dp(instance, order, opts)
+
+
+def _sc_route(instance: Instance, opts: SolveOptions) -> Optional[Solution]:
+    order = recognize_single_crossing(instance)
+    if order is None:
+        return None
+    return _solve_with_voter_order(instance, order, "sc-dp", opts)
+
+
+# in solve_auto's order
+_ROUTES = {
+    r.name: r
+    for r in (
+        _Route("ib-dp", Objective.IB, True, lambda i, k, o: solve_ib_dp(i, o)),
+        _Route(
+            "sp-dp",
+            Objective.DIVERSE,
+            True,
+            lambda i, k, o: _sp_route(i, o),
+            "instance is not single-peaked under any item order",
+        ),
+        _Route(
+            "sc-dp",
+            Objective.DIVERSE,
+            True,
+            lambda i, k, o: _sc_route(i, o),
+            "utility profile is not single-crossing",
+        ),
+        _Route("fpt", Objective.DIVERSE, True, lambda i, k, o: solve_diverse_fpt(i, o)),
+        _Route("xp-dp", Objective.FAIR, True, lambda i, k, o: solve_fair_xp_dp(i, o)),
+        _Route("bruteforce", None, True, lambda i, k, o: brute_force(i, k, o)),
+        _Route("greedy", None, False, lambda i, k, o: solve_greedy(i, k, o)),
+    )
+}
 
 
 def _as_approximate(solution: Solution) -> Solution:
@@ -723,66 +779,28 @@ def _as_approximate(solution: Solution) -> Solution:
 def solve_auto(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
-    """Solve with the cheapest applicable exact method, or fall back.
+    """Solve with the first exact route of :data:`_ROUTES` that applies.
 
-    Additive: value table, then brute force. Diverse: single-peaked table if a
-    peak order is recognized, else single-crossing, else the voter-subset DP
-    when few voters, else brute force. Fair: per-voter vector table, then brute
-    force. When everything trips a guardrail the density greedy runs and the
-    result is tagged "greedy-approximate"; this function never fails on a
-    valid instance.
+    The exact routes for the objective run in table order (ib: value table,
+    then brute force; diverse: single-peaked table, single-crossing table,
+    voter-subset DP, brute force; fair: per-voter vector table, brute force).
+    A route that trips a guardrail or finds the instance outside its domain is
+    skipped. When none is left the density greedy runs and the result is
+    tagged "greedy-approximate"; this function never fails on a valid
+    instance.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
     kind = _coerce_objective(kind)
-    m = instance.num_items
-
-    def brute_ok() -> bool:
-        return m <= opts.max_bruteforce_items
-
-    if kind is Objective.IB:
+    for route in _ROUTES.values():
+        if not route.exact or route.objective not in (None, kind):
+            continue
         try:
-            return solve_ib_dp(instance, opts)
+            solution = route.run(instance, kind, opts)
         except GuardrailError:
-            pass
-        if brute_ok():
-            return brute_force(instance, kind, opts)
-        return _as_approximate(solve_greedy(instance, kind, opts))
-
-    if kind is Objective.DIVERSE:
-        try:
-            order = recognize_single_peaked(instance)
-        except GuardrailError:
-            order = None
-        if order is not None:
-            try:
-                return solve_diverse_sp_dp(instance, order, opts)
-            except GuardrailError:
-                pass
-        try:
-            vorder = recognize_single_crossing(instance)
-        except GuardrailError:
-            vorder = None
-        if vorder is not None:
-            try:
-                return _solve_with_voter_order(instance, vorder, "sc-dp", opts)
-            except GuardrailError:
-                pass
-        if instance.num_voters <= opts.max_fpt_voters:
-            try:
-                return solve_diverse_fpt(instance, opts)
-            except GuardrailError:
-                pass
-        if brute_ok():
-            return brute_force(instance, kind, opts)
-        return _as_approximate(solve_greedy(instance, kind, opts))
-
-    try:
-        return solve_fair_xp_dp(instance, opts)
-    except GuardrailError:
-        pass
-    if brute_ok():
-        return brute_force(instance, kind, opts)
+            continue
+        if solution is not None:
+            return solution
     return _as_approximate(solve_greedy(instance, kind, opts))
 
 

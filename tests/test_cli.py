@@ -4,14 +4,16 @@ Commands run in-process through main(argv); one subprocess test checks the
 module is runnable as a script.
 """
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from knapvote import emit_instance
-from knapvote.cli import main
+from knapvote import Objective, emit_instance, recognize_single_crossing
+from knapvote.cli import _build_parser, main
+from knapvote.solvers import _ROUTES
 from conftest import grouped_instance, make_instance
 
 NON_PEAKED = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
@@ -389,3 +391,157 @@ def test_module_is_runnable_as_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# the route table behind --method
+
+
+def _method_choices():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["solve"]._actions if a.dest == "method").choices
+
+
+def test_method_choices_are_auto_and_the_routes():
+    assert list(_method_choices()) == ["auto", *_ROUTES]
+
+
+def test_each_restricted_route_requires_its_objective(run, classic):
+    restricted = [r for r in _ROUTES.values() if r.objective is not None]
+    assert restricted
+    for route in restricted:
+        for objective in Objective:
+            if objective is route.objective:
+                continue
+            code, out, err = run(
+                "solve", "--objective", objective.value, "--method", route.name, classic
+            )
+            assert code == 2
+            assert out == ""
+            assert f"method {route.name} requires --objective {route.objective.value}" in err
+
+
+def test_each_exact_route_matches_bruteforce_on_classic(run, classic):
+    tried = set()
+    for objective in Objective:
+        code, out, _ = run(
+            "solve", "--objective", objective.value, "--method", "bruteforce", classic
+        )
+        assert code == 0
+        expected = json.loads(out)
+        for route in _ROUTES.values():
+            if not route.exact or route.objective not in (None, objective):
+                continue
+            code, out, _ = run(
+                "solve", "--objective", objective.value, "--method", route.name, classic
+            )
+            assert code == 0, route.name
+            doc = json.loads(out)
+            assert doc["method"] == route.name
+            assert (doc["value"], doc["total_cost"]) == (
+                expected["value"],
+                expected["total_cost"],
+            ), route.name
+            tried.add(route.name)
+    assert tried == {r.name for r in _ROUTES.values() if r.exact}
+
+
+def test_sc_dp_rejects_a_profile_that_is_not_single_crossing(run, write_instance):
+    # a Condorcet cycle over three voters has no single-crossing order
+    inst = make_instance([[3, 2, 1], [1, 3, 2], [2, 1, 3]], budget=1)
+    assert recognize_single_crossing(inst) is None
+    code, out, err = run(
+        "solve", "--objective", "diverse", "--method", "sc-dp", write_instance(inst)
+    )
+    assert code == 2
+    assert out == ""
+    assert "single-crossing" in err
+
+
+# ---------------------------------------------------------------------------
+# thresholds and values past the interpreter's int/str digit limit (4300)
+
+
+def test_solve_threshold_accepts_ascii_digits_only(run, classic):
+    # "²" and "٣" pass str.isdigit(); int() refuses the first, reads 3 from the second
+    for text in ("²", "٣", "5²", "+5", " 5", "5\n", "", "-"):
+        code, out, err = run("solve", "--objective", "ib", "--threshold", text, classic)
+        assert code == 2, text
+        assert out == ""
+        assert "decimal" in err
+
+
+def test_solve_threshold_is_parsed_before_solving(run, write_instance):
+    # brute force over 26 items trips its guardrail; a bad threshold wins
+    path = write_instance(make_instance([[1] * 26], budget=1))
+    code, _, err = run(
+        "solve", "--objective", "ib", "--method", "bruteforce", "--threshold", "²", path
+    )
+    assert code == 2
+    assert "decimal" in err
+
+
+def test_fair_value_past_the_digit_limit(run, write_instance):
+    # 4,400 voters value the one item at 9, so the fair optimum is 10^4400;
+    # the vector table's bound is far over its cap, so auto answers by brute force
+    path = write_instance(make_instance([[9]] * 4400, costs=[1], budget=1))
+    ten_to_4400 = "1" + "0" * 4400
+    code, out, _ = run("solve", "--objective", "fair", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "bruteforce"
+    assert doc["value"] == ten_to_4400
+    code, out, _ = run("evaluate", "--objective", "fair", "--selection", "a0", path)
+    assert code == 0
+    assert json.loads(out)["value"] == ten_to_4400
+    for threshold, expected in ((ten_to_4400, 0), ("1" + "0" * 4399 + "1", 4)):
+        code, out, _ = run("solve", "--objective", "fair", "--threshold", threshold, path)
+        assert code == expected
+        assert json.loads(out)["value"] == ten_to_4400
+
+
+def test_xp_dp_guardrail_on_a_product_past_the_digit_limit(run, write_instance):
+    path = write_instance(make_instance([[1000]] * 1500, costs=[1], budget=1))
+    code, out, err = run("solve", "--objective", "fair", "--method", "xp-dp", path)
+    assert code == 3
+    assert out == ""
+    assert "over the cap" in err
+
+
+def test_integers_past_the_digit_limit_in_input_are_rejected(run, tmp_path):
+    huge = "1" + "0" * 5000
+    path = tmp_path / "inst.json"
+    path.write_text(
+        '{"voters": 1, "items": [{"name": "a", "cost": 1}], "utilities": [[0]], '
+        f'"budget": {huge}}}'
+    )
+    code, _, err = run("solve", "--objective", "ib", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+    params = tmp_path / "params.json"
+    params.write_text(f'{{"entries": [{huge}]}}')
+    code, _, err = run(
+        "generate",
+        "--reduction",
+        "partition",
+        "--params",
+        str(params),
+        "--out",
+        str(tmp_path / "out.json"),
+    )
+    assert code == 2
+    assert "invalid JSON" in err
+    # a params file that cannot be read is not reported as bad JSON
+    code, _, err = run(
+        "generate",
+        "--reduction",
+        "partition",
+        "--params",
+        str(tmp_path / "missing.json"),
+        "--out",
+        str(tmp_path / "out.json"),
+    )
+    assert code == 2
+    assert "cannot read" in err
+    assert "invalid JSON" not in err

@@ -1,6 +1,7 @@
 """Document layer: strict parsing, deterministic emission, exact round trips."""
 
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from knapvote import (
     parse_order,
     SetSystem,
 )
+from knapvote.documents import _decimal_to_int, _int_to_decimal
 from conftest import grouped_instance, make_instance, random_instance
 
 MINIMAL = json.dumps(
@@ -172,3 +174,24 @@ def test_parse_order():
         parse_order("[1, true]")
     with pytest.raises(ValidationError):
         parse_order("[1.5]")
+
+
+def test_decimal_round_trip_past_the_digit_limit():
+    # values are built 100 digits at a time, never through one long int()/str()
+    rng = random.Random(7)
+    for length in (1, 499, 500, 501, 1500, 4300, 4301, 9001):
+        text = str(rng.randint(1, 9)) + "".join(
+            str(rng.randint(0, 9)) for _ in range(length - 1)
+        )
+        value = 0
+        for start in range(0, length, 100):
+            chunk = text[start : start + 100]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert _decimal_to_int(text) == value
+        assert _int_to_decimal(value) == text
+        assert _decimal_to_int("-" + text) == -value
+        assert _int_to_decimal(-value) == "-" + text
+    assert _int_to_decimal(10**5000) == "1" + "0" * 5000
+    assert _int_to_decimal(10**5000 - 1) == "9" * 5000
+    assert _int_to_decimal(0) == "0"
+    assert _decimal_to_int("0" * 6000 + "42") == 42

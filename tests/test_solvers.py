@@ -472,6 +472,13 @@ def test_xp_guardrail():
         solve_fair_xp_dp(inst, SolveOptions(max_dp_cells=10))
 
 
+def test_xp_guardrail_stops_multiplying_at_the_cap():
+    # m * prod(1 + row sum) = 1001^1500 has about 4,500 digits
+    inst = make_instance([[1000]] * 1500, budget=1)
+    with pytest.raises(GuardrailError, match="over the cap of 100000000 cells$"):
+        solve_fair_xp_dp(inst)
+
+
 # greedy with partial enumeration
 
 
