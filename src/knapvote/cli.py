@@ -18,7 +18,7 @@ import dataclasses
 import json
 import re
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .core import (
     GuardrailError,
@@ -57,8 +57,6 @@ from .reductions import (
 )
 from .solvers import _ROUTES, DEFAULT_OPTIONS, SolveOptions, solve_auto
 
-_OBJECTIVES = {"ib": Objective.IB, "diverse": Objective.DIVERSE, "fair": Objective.FAIR}
-
 
 def _read(path: str) -> str:
     try:
@@ -85,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve an instance and print the solution")
-    p.add_argument("--objective", required=True, choices=sorted(_OBJECTIVES))
+    p.add_argument(
+        "--objective", required=True, choices=sorted(k.value for k in Objective)
+    )
     p.add_argument("--method", default="auto", choices=["auto", *_ROUTES])
     p.add_argument(
         "--threshold",
@@ -108,24 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("generate", help="build an instance from a source problem")
-    p.add_argument(
-        "--reduction",
-        required=True,
-        choices=[
-            "knapsack",
-            "partition",
-            "exact-partition",
-            "ersp",
-            "dominating-set",
-            "multicolored-clique",
-            "x3c",
-        ],
-    )
+    p.add_argument("--reduction", required=True, choices=list(_REDUCTIONS))
     p.add_argument("--params", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
 
     p = sub.add_parser("evaluate", help="score a fixed selection of items")
-    p.add_argument("--objective", required=True, choices=sorted(_OBJECTIVES))
+    p.add_argument(
+        "--objective", required=True, choices=sorted(k.value for k in Objective)
+    )
     p.add_argument(
         "--selection", required=True, metavar="NAMES", help="comma-separated item names"
     )
@@ -153,7 +143,7 @@ def _parse_threshold(text: str) -> int:
 
 def _run_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.file))
-    objective = _OBJECTIVES[args.objective]
+    objective = Objective(args.objective)
     options = _options_from(args)
     threshold = None if args.threshold is None else _parse_threshold(args.threshold)
 
@@ -195,8 +185,8 @@ def _run_check_domain(args: argparse.Namespace) -> int:
     return 0 if found is not None else 4
 
 
-def _require_keys(params: dict, required: set[str], optional: set[str] = frozenset()) -> None:
-    unknown = sorted(set(params) - required - optional)
+def _require_keys(params: dict, required: set[str]) -> None:
+    unknown = sorted(set(params) - required)
     if unknown:
         raise ValidationError(f"unknown parameter(s): {', '.join(unknown)}")
     missing = sorted(required - set(params))
@@ -219,40 +209,9 @@ def _as_int(value: Any, label: str) -> int:
 def _build_reduction(name: str, params: Any):
     if not isinstance(params, dict):
         raise ValidationError("parameter file must hold a JSON object")
-    if name == "knapsack":
-        _require_keys(params, {"values", "weights", "value_target", "weight_budget"})
-        return from_knapsack(
-            _int_list(params["values"], "values"),
-            _int_list(params["weights"], "weights"),
-            _as_int(params["value_target"], "value_target"),
-            _as_int(params["weight_budget"], "weight_budget"),
-        )
-    if name == "partition":
-        _require_keys(params, {"entries"})
-        return from_partition(_int_list(params["entries"], "entries"))
-    if name == "exact-partition":
-        _require_keys(params, {"entries", "k"})
-        return from_exact_partition(
-            _int_list(params["entries"], "entries"), _as_int(params["k"], "k")
-        )
-    if name == "ersp":
-        _require_keys(params, {"universe_size", "sets", "d", "k"})
-        return from_ersp(
-            _as_int(params["universe_size"], "universe_size"),
-            _parse_sets(params),
-            _as_int(params["d"], "d"),
-            _as_int(params["k"], "k"),
-        )
-    if name == "dominating-set":
-        _require_keys(params, {"num_vertices", "edges", "k"})
-        graph = _parse_graph(params, colored=False)
-        return from_dominating_set(graph, _as_int(params["k"], "k"))
-    if name == "multicolored-clique":
-        _require_keys(params, {"num_vertices", "edges", "coloring", "k"})
-        graph = _parse_graph(params, colored=True)
-        return from_multicolored_clique(graph, _as_int(params["k"], "k"))
-    _require_keys(params, {"universe_size", "sets"})
-    return from_x3c(_parse_sets(params))
+    keys, build = _REDUCTIONS[name]
+    _require_keys(params, keys)
+    return build(params)
 
 
 def _parse_sets(params: dict) -> SetSystem:
@@ -285,6 +244,52 @@ def _parse_graph(params: dict, colored: bool) -> SourceGraph:
     )
 
 
+# --reduction name: (the parameter file's keys, builder from the parameters)
+_REDUCTIONS: dict[str, tuple[set[str], Callable[[dict], Any]]] = {
+    "knapsack": (
+        {"values", "weights", "value_target", "weight_budget"},
+        lambda p: from_knapsack(
+            _int_list(p["values"], "values"),
+            _int_list(p["weights"], "weights"),
+            _as_int(p["value_target"], "value_target"),
+            _as_int(p["weight_budget"], "weight_budget"),
+        ),
+    ),
+    "partition": (
+        {"entries"},
+        lambda p: from_partition(_int_list(p["entries"], "entries")),
+    ),
+    "exact-partition": (
+        {"entries", "k"},
+        lambda p: from_exact_partition(
+            _int_list(p["entries"], "entries"), _as_int(p["k"], "k")
+        ),
+    ),
+    "ersp": (
+        {"universe_size", "sets", "d", "k"},
+        lambda p: from_ersp(
+            _as_int(p["universe_size"], "universe_size"),
+            _parse_sets(p),
+            _as_int(p["d"], "d"),
+            _as_int(p["k"], "k"),
+        ),
+    ),
+    "dominating-set": (
+        {"num_vertices", "edges", "k"},
+        lambda p: from_dominating_set(
+            _parse_graph(p, colored=False), _as_int(p["k"], "k")
+        ),
+    ),
+    "multicolored-clique": (
+        {"num_vertices", "edges", "coloring", "k"},
+        lambda p: from_multicolored_clique(
+            _parse_graph(p, colored=True), _as_int(p["k"], "k")
+        ),
+    ),
+    "x3c": ({"universe_size", "sets"}, lambda p: from_x3c(_parse_sets(p))),
+}
+
+
 def _run_generate(args: argparse.Namespace) -> int:
     text = _read(args.params)
     try:
@@ -299,7 +304,7 @@ def _run_generate(args: argparse.Namespace) -> int:
 
 def _run_evaluate(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.file))
-    objective = _OBJECTIVES[args.objective]
+    objective = Objective(args.objective)
     names = [s for s in args.selection.split(",") if s]
     index_of = {name: j for j, name in enumerate(instance.item_names)}
     selected = []

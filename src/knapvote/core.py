@@ -3,23 +3,30 @@
 An instance consists of m items with positive integer costs, n voters with
 nonnegative integer utilities for each item, and a budget. A knapsack is a set
 of item indices whose total cost stays within the budget. Three objectives are
-supported:
+supported, each built in two steps:
 
-- "ib" (individually best): the sum over selected items of every voter's
-  utility for that item. Modular.
-- "diverse": each voter counts only their single best selected item
-  (max over the empty knapsack is 0). Monotone submodular.
-- "fair": Nash welfare, the product over voters of (1 + the voter's total
-  utility from the selection). The empty product is 1. Computed exactly over
-  arbitrary-precision integers; a float log is carried for display only.
+1. Each voter's utility for a knapsack joins its utilities for the items:
+   their sum for "ib" and "fair", their maximum for "diverse" (0 for the empty
+   knapsack either way). :func:`_join` is that join.
+2. An aggregate over voters: the sum for "ib" and "diverse", and for "fair"
+   the Nash product of (1 + each voter's utility), which is 1 for the empty
+   knapsack. :func:`_score` is that aggregate.
+
+"ib" (individually best) is modular, "diverse" monotone submodular. Fair
+products are computed exactly over arbitrary-precision integers; a float log
+is carried for display only. :func:`evaluate`, brute force, the greedy and
+the per-voter vector table score knapsacks only through these two helpers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class ValidationError(ValueError):
@@ -199,6 +206,25 @@ def is_feasible(instance: Instance, selected: Iterable[int]) -> bool:
     return total_cost(instance, sel) <= instance.budget
 
 
+def _join(kind: Objective) -> Callable[[int, int], int]:
+    """How a voter's utility for a knapsack takes in one more item's utility."""
+    return max if kind is Objective.DIVERSE else operator.add
+
+
+def _score(kind: Objective, totals: Iterable[int], mults: Iterable[int]) -> int:
+    """The objective over voters, from each distinct voter row's utility.
+
+    ``totals[r]`` is the utility of a row that ``mults[r]`` voters share. The
+    score is the sum of mult * total, or for fair the product of
+    (total + 1) ** mult.
+    """
+    if kind is Objective.FAIR:
+        return math.prod(
+            t + 1 if mu == 1 else (t + 1) ** mu for t, mu in zip(totals, mults)
+        )
+    return sum(mu * t for t, mu in zip(totals, mults))
+
+
 def evaluate(
     instance: Instance, kind: Objective | str, selected: Iterable[int]
 ) -> ObjectiveValue:
@@ -208,17 +234,14 @@ def evaluate(
     """
     kind = _coerce_objective(kind)
     sel = clean_selection(selected, instance.num_items)
-    if kind is Objective.IB:
-        return ObjectiveValue(
-            kind, ib_or_div_value=sum(instance.column_sum(j) for j in sel)
-        )
-    if kind is Objective.DIVERSE:
-        val = sum(max((row[j] for j in sel), default=0) for row in instance.utilities)
-        return ObjectiveValue(kind, ib_or_div_value=val)
-    prod = 1
-    for row in instance.utilities:
-        prod *= 1 + sum(row[j] for j in sel)
-    return ObjectiveValue(kind, fair_product=prod, fair_log=log_of_int(prod))
+    join = _join(kind)
+    totals = (
+        functools.reduce(join, (row[j] for j in sel), 0) for row in instance.utilities
+    )
+    score = _score(kind, totals, itertools.repeat(1))
+    if kind is Objective.FAIR:
+        return ObjectiveValue(kind, fair_product=score, fair_log=log_of_int(score))
+    return ObjectiveValue(kind, ib_or_div_value=score)
 
 
 @dataclass(frozen=True)

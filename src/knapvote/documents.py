@@ -126,7 +126,21 @@ def parse_instance(text: str) -> Instance:
 
 
 def _dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` and a newline, for ints of any length."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value: Any, indent: str) -> str:
+    if _is_int(value):
+        return _int_to_decimal(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a string, bool, None, [] or {}
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    parts = [_encode(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + indent + "]"
 
 
 def emit_instance(instance: Instance) -> str:

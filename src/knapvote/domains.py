@@ -48,24 +48,6 @@ def _group(nodes: list[_Node]) -> _Node:
     return nodes[0] if len(nodes) == 1 else _Node("P", children=nodes)
 
 
-def _count_full(node: _Node, full_cols: frozenset[int], memo: dict[int, int]) -> int:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if node.kind == "leaf":
-        c = 1 if node.col in full_cols else 0
-    else:
-        c = sum(_count_full(ch, full_cols, memo) for ch in node.children)
-    memo[key] = c
-    return c
-
-
-def _num_leaves(node: _Node) -> int:
-    if node.kind == "leaf":
-        return 1
-    return sum(_num_leaves(ch) for ch in node.children)
-
-
 def _reduce_nonroot(node: _Node, counts: dict[int, int], sizes: dict[int, int]) -> tuple[str, _Node]:
     """Restructure the subtree so that its full leaves can sit at one end.
 

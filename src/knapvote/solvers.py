@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -48,7 +47,9 @@ from .core import (
     Solution,
     ValidationError,
     _coerce_objective,
-    evaluate,
+    _join,
+    _score,
+    evaluate,  # not called here; kept so that knapvote.solvers.evaluate resolves
     make_solution,
     require_valid,
 )
@@ -88,6 +89,17 @@ class SolveOptions:
 
 
 DEFAULT_OPTIONS = SolveOptions()
+
+
+def _check_cells(table: str, work: int, opts: SolveOptions) -> None:
+    """Refuse a table whose cells of work pass ``max_dp_cells``.
+
+    The message leaves the work out: it can pass the digit limit of ``str``.
+    """
+    if work > opts.max_dp_cells:
+        raise GuardrailError(
+            f"{table} needs cells of work over the cap of {opts.max_dp_cells} cells"
+        )
 
 
 def _better(a: tuple, b: tuple) -> bool:
@@ -138,55 +150,38 @@ def brute_force(
     nz = [
         [(i, rows[i][j]) for i in range(k) if rows[i][j] > 0] for j in range(m)
     ]
-    colsum = [sum(mults[i] * rows[i][j] for i in range(k)) for j in range(m)]
 
     sel: list[int] = []
     best: Optional[tuple] = None
-    ib_value = 0
-    cur_max = [0] * k
-    sums = [0] * k
-
-    def leaf(cost: int) -> None:
-        nonlocal best
-        if kind is Objective.IB:
-            score: int = ib_value
-        elif kind is Objective.DIVERSE:
-            score = sum(mu * v for mu, v in zip(mults, cur_max))
-        else:
-            score = math.prod(
-                (s + 1) ** mu if mu > 1 else s + 1 for s, mu in zip(sums, mults)
-            )
-        cand = (score, cost, tuple(sel))
-        if best is None or _better(cand, best):
-            best = cand
+    totals = [0] * k  # each row's utility for sel, updated in place
 
     def rec(j: int, cost: int) -> None:
-        nonlocal ib_value
+        nonlocal best
         if j == m:
-            leaf(cost)
+            cand = (_score(kind, totals, mults), cost, tuple(sel))
+            if best is None or _better(cand, best):
+                best = cand
             return
         cj = costs[j]
         if cost + cj <= budget:
             sel.append(j)
-            if kind is Objective.IB:
-                ib_value += colsum[j]
-                rec(j + 1, cost + cj)
-                ib_value -= colsum[j]
-            elif kind is Objective.DIVERSE:
+            if kind is Objective.DIVERSE:
+                # the max join written out, saving only the rows it raises:
+                # a call to max per row doubles the search time
                 undo = []
                 for i, u in nz[j]:
-                    if u > cur_max[i]:
-                        undo.append((i, cur_max[i]))
-                        cur_max[i] = u
+                    if u > totals[i]:
+                        undo.append((i, totals[i]))
+                        totals[i] = u
                 rec(j + 1, cost + cj)
                 for i, old in undo:
-                    cur_max[i] = old
+                    totals[i] = old
             else:
                 for i, u in nz[j]:
-                    sums[i] += u
+                    totals[i] += u
                 rec(j + 1, cost + cj)
                 for i, u in nz[j]:
-                    sums[i] -= u
+                    totals[i] -= u
             sel.pop()
         rec(j + 1, cost)
 
@@ -269,11 +264,7 @@ def solve_ib_dp(instance: Instance, options: Optional[SolveOptions] = None) -> S
     require_valid(instance)
     m = instance.num_items
     uhat = instance.total_utility()
-    cells = m * (uhat + 1)
-    if cells > opts.max_dp_cells:
-        raise GuardrailError(
-            f"value table needs {cells} cells, over the cap of {opts.max_dp_cells}"
-        )
+    _check_cells("value table", m * (uhat + 1), opts)
     w = [instance.column_sum(j) for j in range(m)]
     row, _, limit = _empty_row(instance, uhat + 1)
     took = []
@@ -315,12 +306,7 @@ def solve_diverse_sp_dp(
         raise ValidationError("profile is not single-peaked under the given item order")
     m = instance.num_items
     ubound = instance.total_utility()
-    work = m * (m + 1) // 2 * (ubound + 1)
-    if work > opts.max_dp_cells:
-        raise GuardrailError(
-            f"single-peaked table needs {work} cells of work, over the cap of"
-            f" {opts.max_dp_cells}"
-        )
+    _check_cells("single-peaked table", m * (m + 1) // 2 * (ubound + 1), opts)
     # cols[s]: each voter's utility for the latest item of source s, where
     # source 0 is the empty knapsack and source p + 1 ends at position p
     cols = np.zeros((m + 1, instance.num_voters), dtype=np.int64)
@@ -372,11 +358,7 @@ def ordered_diverse_table(
     n = instance.num_voters
     m = instance.num_items
     ubound = instance.total_utility()
-    work = n * (ubound + 1) * m
-    if work > opts.max_dp_cells:
-        raise GuardrailError(
-            f"order table needs {work} cells of work, over the cap of {opts.max_dp_cells}"
-        )
+    _check_cells("order table", n * (ubound + 1) * m, opts)
     empty, inf, _ = _empty_row(instance, ubound + 1)
     table = np.full((n, ubound + 1), inf, dtype=empty.dtype)
     running = np.tile(empty, (m, 1))
@@ -467,16 +449,11 @@ def solve_diverse_fpt(
     k = len(rows)
     m = instance.num_items
     costs = instance.costs
-    afford = min(instance.budget, sum(costs))
+    _, _, afford = _empty_row(instance, 1)
     ubound = instance.total_utility()
     by_cost = afford <= ubound
     width = (afford if by_cost else ubound) + 1
-    work = 3**k * m * width
-    if work > opts.max_dp_cells:
-        raise GuardrailError(
-            f"subset DP over {k} distinct voter rows needs {work} cells of work,"
-            f" over the cap of {opts.max_dp_cells}"
-        )
+    _check_cells(f"subset DP over {k} distinct voter rows", 3**k * m * width, opts)
     full = (1 << k) - 1
     # val[T][a]: item a's utility summed over every voter of the rows in T
     vdt: object = np.int64 if ubound < 2**62 else object
@@ -494,11 +471,9 @@ def solve_diverse_fpt(
         src[~fits] = 0
         unfit = -(ubound + 1)
     else:
-        inf = sum(costs) + 1
-        dt: object = np.int64 if inf + max(costs) < 2**62 else object
-        table = np.full((full + 1, width), -inf, dtype=dt)
-        table[:, 0] = 0
-        neg_costs = -np.array(costs, dtype=dt)[:, None]
+        empty, _, _ = _empty_row(instance, width)
+        table = np.tile(-empty, (full + 1, 1))
+        neg_costs = -np.array(costs, dtype=empty.dtype)[:, None]
     par_set = np.zeros((full + 1, width), dtype=np.int32)
     par_item = np.full((full + 1, width), -1, dtype=np.int32)
     for s in range(full):
@@ -565,10 +540,7 @@ def solve_fair_xp_dp(
     bound = m
     for row in instance.utilities:
         bound *= 1 + sum(row)
-        if bound > opts.max_dp_cells:
-            raise GuardrailError(
-                f"per-voter vector table is over the cap of {opts.max_dp_cells} cells"
-            )
+        _check_cells("per-voter vector table", bound, opts)
     cols = [tuple(row[j] for row in instance.utilities) for j in range(m)]
     costs = instance.costs
     layers: list[dict[tuple[int, ...], int]] = [{(0,) * n: 0}]
@@ -589,13 +561,9 @@ def solve_fair_xp_dp(
     for z, c in dp.items():
         if c > instance.budget:
             continue
-        p = math.prod(v + 1 for v in z)
-        if (
-            best is None
-            or p > best[0]
-            or (p == best[0] and (c < best[1] or (c == best[1] and z < best[2])))
-        ):
-            best = (p, c, z)
+        cand = (_score(Objective.FAIR, z, itertools.repeat(1)), c, z)
+        if best is None or _better(cand, best):
+            best = cand
     assert best is not None
     sel = []
     z, c = best[2], best[1]
@@ -612,10 +580,6 @@ def solve_fair_xp_dp(
 # density greedy with partial enumeration
 
 
-def _fair_product(sums: list[int]) -> int:
-    return math.prod(s + 1 for s in sums)
-
-
 def solve_greedy(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
@@ -623,90 +587,68 @@ def solve_greedy(
     size, extend each by the best marginal gain per unit cost, and keep the
     best candidate overall (all smaller feasible subsets compete as-is).
 
-    Guarantees a (1 - 1/e) factor for the diverse objective and for the
-    logarithm of the fair objective. Density comparisons for the fair
-    objective are done in exact integer arithmetic, never through floats.
+    Each distinct voter row keeps its utility for the current knapsack, and a
+    candidate item is scored by joining its column into those totals, so no
+    knapsack is evaluated again from scratch. For ib and diverse the density
+    is the score's gain over the item's cost; for fair it is the ratio of the
+    new product to the current one, to the power 1 / cost, compared in exact
+    integer arithmetic, never through floats. Guarantees a (1 - 1/e) factor
+    for the diverse objective and for the logarithm of the fair objective.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
     kind = _coerce_objective(kind)
     m = instance.num_items
-    n = instance.num_voters
     costs = instance.costs
     budget = instance.budget
-    utilities = instance.utilities
+    rows, mults = _collapse_voters(instance)
+    cols = [tuple(row[j] for row in rows) for j in range(m)]
+    join = _join(kind)
+    fair = kind is Objective.FAIR
     s = min(opts.greedy_seed_size, m)
 
     best: Optional[tuple] = None
-
-    def consider(sel: tuple[int, ...], cost: int) -> None:
-        nonlocal best
-        cand = (evaluate(instance, kind, sel).score, cost, tuple(sorted(sel)))
-        if best is None or _better(cand, best):
-            best = cand
-
-    for size in range(s):
+    for size in range(s + 1):
         for seed in itertools.combinations(range(m), size):
-            c = sum(costs[j] for j in seed)
-            if c <= budget:
-                consider(seed, c)
-
-    for seed in itertools.combinations(range(m), s):
-        cost = sum(costs[j] for j in seed)
-        if cost > budget:
-            continue
-        chosen = set(seed)
-        if kind is Objective.DIVERSE:
-            state = [max((utilities[i][j] for j in seed), default=0) for i in range(n)]
-        else:
-            state = [sum(utilities[i][j] for j in seed) for i in range(n)]
-        while True:
-            pick = None  # (item, gain) or (item, new fair product)
-            prod = _fair_product(state) if kind is Objective.FAIR else 0
-            for j in range(m):
-                if j in chosen or cost + costs[j] > budget:
-                    continue
-                if kind is Objective.IB:
-                    g = instance.column_sum(j)
-                elif kind is Objective.DIVERSE:
-                    g = sum(
-                        utilities[i][j] - state[i]
-                        for i in range(n)
-                        if utilities[i][j] > state[i]
-                    )
-                else:
-                    g = _fair_product([sv + utilities[i][j] for i, sv in enumerate(state)])
-                    if g <= prod:
+            cost = sum(costs[j] for j in seed)
+            if cost > budget:
+                continue
+            chosen = set(seed)
+            totals = [0] * len(rows)
+            for j in seed:
+                totals = list(map(join, totals, cols[j]))
+            score = _score(kind, totals, mults)
+            while size == s:  # smaller seeds compete as they are
+                pick = None  # (item, score with it)
+                for j in range(m):
+                    if j in chosen or cost + costs[j] > budget:
                         continue
-                if kind is Objective.FAIR:
-                    if pick is not None:
-                        pj, gj = pick
-                        # denser iff g/prod^(1/c_j) beats the incumbent; compare
-                        # g^c_pj * prod^c_j vs gj^c_j * prod^c_pj exactly
-                        if not (
-                            g ** costs[pj] * prod ** costs[j]
-                            > gj ** costs[j] * prod ** costs[pj]
-                        ):
-                            continue
-                    pick = (j, g)
-                else:
-                    if g <= 0:
+                    g = _score(kind, map(join, totals, cols[j]), mults)
+                    if g <= score:
                         continue
                     if pick is not None:
                         pj, gj = pick
-                        if not g * costs[pj] > gj * costs[j]:
+                        if fair:
+                            # denser iff (g / score)^(1/c_j) beats the incumbent's;
+                            # compare g^c_pj * score^c_j vs gj^c_j * score^c_pj
+                            denser = (
+                                g ** costs[pj] * score ** costs[j]
+                                > gj ** costs[j] * score ** costs[pj]
+                            )
+                        else:
+                            denser = (g - score) * costs[pj] > (gj - score) * costs[j]
+                        if not denser:
                             continue
                     pick = (j, g)
-            if pick is None:
-                break
-            j = pick[0]
-            chosen.add(j)
-            cost += costs[j]
-            if kind is Objective.DIVERSE:
-                state = [max(sv, utilities[i][j]) for i, sv in enumerate(state)]
-            else:
-                state = [sv + utilities[i][j] for i, sv in enumerate(state)]
-        consider(tuple(sorted(chosen)), cost)
+                if pick is None:
+                    break
+                j, score = pick
+                chosen.add(j)
+                cost += costs[j]
+                totals = list(map(join, totals, cols[j]))
+            cand = (score, cost, tuple(sorted(chosen)))
+            if best is None or _better(cand, best):
+                best = cand
 
     assert best is not None  # the empty seed is always considered
     return make_solution(instance, kind, best[2], "greedy")
@@ -854,11 +796,7 @@ def best_connected_assignment(
     k = len(items)
     if n < k:
         raise ValidationError("fewer voters than items to serve")
-    cells = n * k * (1 << k)
-    if cells > opts.max_dp_cells:
-        raise GuardrailError(
-            f"assignment table needs {cells} cells, over the cap of {opts.max_dp_cells}"
-        )
+    _check_cells("assignment table", n * k * (1 << k), opts)
     util = [[instance.utilities[order[t]][items[a]] for a in range(k)] for t in range(n)]
     # dp maps (current item, used mask) -> (value, parent key at previous position)
     dp: dict[tuple[int, int], tuple[int, Optional[tuple[int, int]]]] = {}

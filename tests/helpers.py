@@ -44,6 +44,57 @@ def best_subset(instance: Instance, kind: str):
     return -best[0], best[1], best[2]
 
 
+def greedy_by_definition(instance: Instance, kind: str, seed_size: int):
+    """The knapsack the partial-enumeration density greedy returns.
+
+    Every feasible subset smaller than the seed size competes as it is. Every
+    feasible seed of that size grows by the densest item that fits and raises
+    the value (the lowest index among equals) until none does: gain per unit
+    cost for ib and diverse, and for fair (new / old) ** (1 / cost), compared
+    exactly through integer powers. The winner has max value, then min cost,
+    then the lex-least subset. Every value is a subset_value.
+    """
+    m = instance.num_items
+    costs = instance.costs
+    size = min(seed_size, m)
+    best = None
+    for r in range(size + 1):
+        for seed in itertools.combinations(range(m), r):
+            chosen = list(seed)
+            cost = sum(costs[j] for j in chosen)
+            if cost > instance.budget:
+                continue
+            while r == size:
+                old = subset_value(instance, kind, chosen)
+                pick = None
+                for j in range(m):
+                    if j in chosen or cost + costs[j] > instance.budget:
+                        continue
+                    new = subset_value(instance, kind, chosen + [j])
+                    if new <= old:
+                        continue
+                    if pick is not None:
+                        pj, pnew = pick
+                        if kind == "fair":
+                            lhs = new ** costs[pj] * old ** costs[j]
+                            rhs = pnew ** costs[j] * old ** costs[pj]
+                        else:
+                            lhs = (new - old) * costs[pj]
+                            rhs = (pnew - old) * costs[j]
+                        if lhs <= rhs:
+                            continue
+                    pick = (j, new)
+                if pick is None:
+                    break
+                chosen.append(pick[0])
+                cost += costs[pick[0]]
+            key = (-subset_value(instance, kind, chosen), cost, tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
+    assert best is not None  # the empty set is always feasible (budget >= 0)
+    return best[2]
+
+
 def _unimodal(seq: Sequence[int]) -> bool:
     i = 0
     while i + 1 < len(seq) and seq[i + 1] >= seq[i]:

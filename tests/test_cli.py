@@ -509,6 +509,23 @@ def test_xp_dp_guardrail_on_a_product_past_the_digit_limit(run, write_instance):
     assert "over the cap" in err
 
 
+def test_utilities_at_the_digit_limit(run, write_instance):
+    # each utility has as many digits as str() may write, and the two items'
+    # sum one more; every table's work is past the digit limit too
+    digits = sys.get_int_max_str_digits() or 4300
+    u = 10**digits - 1
+    path = write_instance(make_instance([[u, u]], costs=[1, 1], budget=2))
+    both = "1" + "9" * (digits - 1) + "8"
+    for objective, per_voter in (("ib", both), ("diverse", "9" * digits), ("fair", both)):
+        code, out, err = run("solve", "--objective", objective, path)
+        assert code == 0, err
+        assert f'"per_voter_utility": [\n    {per_voter}\n  ]' in out
+    code, out, err = run("solve", "--objective", "ib", "--method", "ib-dp", path)
+    assert code == 3
+    assert out == ""
+    assert "over the cap" in err
+
+
 def test_integers_past_the_digit_limit_in_input_are_rejected(run, tmp_path):
     huge = "1" + "0" * 5000
     path = tmp_path / "inst.json"

@@ -45,6 +45,7 @@ from helpers import (
     best_ordered_subset,
     best_subset,
     connected_optimum,
+    greedy_by_definition,
     subset_value,
 )
 
@@ -509,6 +510,22 @@ def test_greedy_bound_on_random_instances(rng):
         got_fair = solve_greedy(inst, Objective.FAIR).value.fair_product
         assert math.log(got_fair) >= ratio * math.log(opt_fair) - 1e-9
         assert solve_greedy(inst, Objective.IB).total_cost <= inst.budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fpt_instances(), st.randoms().map(random_instance)))
+@_with_examples(EDGE_CASES)
+def test_greedy_counts_duplicate_voters(inst):
+    # greedy scores each distinct voter row once, weighted by its count;
+    # doubling every voter doubles ib and diverse and squares fair, which
+    # leaves every density comparison, and so the knapsack, as it was
+    doubled = make_instance(
+        [row for row in inst.utilities for _ in (0, 1)], costs=inst.costs, budget=inst.budget
+    )
+    for kind, label in KINDS:
+        sol = solve_greedy(inst, kind)
+        assert sol.knapsack == greedy_by_definition(inst, label, 3)
+        assert solve_greedy(doubled, kind).knapsack == sol.knapsack
 
 
 # dispatch
