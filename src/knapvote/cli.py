@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -74,6 +75,7 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {e.strerror or e}")
 
 
+@functools.cache  # built once per process; main() only parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knapvote",

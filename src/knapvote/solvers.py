@@ -24,7 +24,8 @@ bruteforce, then greedy, the inexact fallback.
   fixed-order table.
 - :func:`solve_diverse_fpt` - diverse objective for few voters, a DP over
   subsets of the distinct voter rows.
-- :func:`solve_fair_xp_dp` - Nash welfare, table over exact per-voter totals.
+- :func:`solve_fair_xp_dp` - Nash welfare, table over exact totals of the
+  distinct voter rows.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
   for the diverse objective and for the logarithm of the fair objective.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
@@ -526,53 +527,45 @@ def solve_diverse_fpt(
 def solve_fair_xp_dp(
     instance: Instance, options: Optional[SolveOptions] = None
 ) -> Solution:
-    """Exact Nash-welfare optimum via tables over per-voter utility vectors.
+    """Exact Nash-welfare optimum via a table over per-row utility vectors.
 
-    Layer j maps each reachable vector of per-voter totals (over the first j
-    items) to its minimum cost; the product is maximized over the final layer.
-    State count is bounded by the product of (1 + each voter's total utility),
-    which the guardrail checks up front, stopping once it passes the cap.
+    The table maps each reachable vector of totals over the distinct voter
+    rows, within the budget, to its least cost and that knapsack's items (a
+    bitmask). Items are added one at a time, in place, from a snapshot of the
+    table; a state is replaced only by a strictly cheaper one. The product is
+    maximized over the final table, each row's factor raised to its
+    multiplicity. The guardrail checks m times the product of (1 + each
+    voter's total utility) up front, stopping once it passes the cap.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
-    n = instance.num_voters
     m = instance.num_items
     bound = m
     for row in instance.utilities:
         bound *= 1 + sum(row)
         _check_cells("per-voter vector table", bound, opts)
-    cols = [tuple(row[j] for row in instance.utilities) for j in range(m)]
-    costs = instance.costs
-    layers: list[dict[tuple[int, ...], int]] = [{(0,) * n: 0}]
-    dp = layers[0]
-    for j in range(m):
-        new = dict(dp)
-        cj = costs[j]
-        col = cols[j]
-        for z, c in dp.items():
-            z2 = tuple(a + b for a, b in zip(z, col))
+    rows, mults = _collapse_voters(instance)
+    budget = instance.budget
+    table: dict[tuple[int, ...], tuple[int, int]] = {(0,) * len(rows): (0, 0)}
+    for j, cj in enumerate(instance.costs):
+        col = tuple(row[j] for row in rows)
+        # each key is written at most once per item, so dict order never matters
+        for z, (c, items) in list(table.items()):
             c2 = c + cj
-            old = new.get(z2)
-            if old is None or c2 < old:
-                new[z2] = c2
-        layers.append(new)
-        dp = new
+            if c2 > budget:
+                continue
+            z2 = tuple(a + b for a, b in zip(z, col))
+            old = table.get(z2)
+            if old is None or c2 < old[0]:
+                table[z2] = (c2, items | 1 << j)
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    for z, c in dp.items():
-        if c > instance.budget:
-            continue
-        cand = (_score(Objective.FAIR, z, itertools.repeat(1)), c, z)
+    for z, (c, _) in table.items():
+        cand = (_score(Objective.FAIR, z, mults), c, z)
         if best is None or _better(cand, best):
             best = cand
-    assert best is not None
-    sel = []
-    z, c = best[2], best[1]
-    for j in range(m - 1, -1, -1):
-        if layers[j].get(z) == c:
-            continue
-        sel.append(j)
-        z = tuple(a - b for a, b in zip(z, cols[j]))
-        c -= costs[j]
+    assert best is not None  # the empty knapsack is always feasible
+    items = table[best[2]][1]
+    sel = [j for j in range(m) if items >> j & 1]
     return make_solution(instance, Objective.FAIR, sel, "xp-dp")
 
 

@@ -381,6 +381,7 @@ EDGE_CASES = (
     make_instance([[2, 1], [1, 2]], costs=[2, 3], budget=10),
     make_instance([[0, 0, 0], [0, 0, 0]], costs=[1, 2, 3], budget=4),
     make_instance([[3, 1], [3, 1], [0, 4]], costs=[2, 1], budget=2),
+    make_instance([[2, 0], [2, 0], [0, 3]], costs=[1, 1], budget=1),
     make_instance([[1, 2], [2, 1]], costs=[BIG, BIG + 1], budget=BIG + 1),
     make_instance([[5, 1], [1, 5]], costs=[BIG, BIG], budget=3 * BIG),
 )
