@@ -26,8 +26,8 @@ from .core import (
     Objective,
     ValidationError,
     _is_int,
+    _voter_utilities,
     evaluate,
-    per_voter_utilities,
     total_cost,
 )
 from .documents import (
@@ -325,7 +325,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
             sorted(selected),
             value.score,
             cost,
-            per_voter_utilities(instance, selected),
+            _voter_utilities(instance, objective, selected),
             cost <= instance.budget,
         )
     )

@@ -15,7 +15,16 @@ supported, each built in two steps:
 "ib" (individually best) is modular, "diverse" monotone submodular. Fair
 products are computed exactly over arbitrary-precision integers; a float log
 is carried for display only. :func:`evaluate`, brute force, the greedy and
-the per-voter vector table score knapsacks only through these two helpers.
+the per-voter vector table score knapsacks only through these two helpers,
+and the greedy scores its candidates through :func:`_gain`.
+
+The score is a sum (ib, diverse) or a product (fair) of one term per voter
+row, so one more item changes only the terms of the rows that value it above
+0. :func:`_gain` gives the score over just those rows, with the item joined
+(``after``) and without it (``before``). Then the new score is
+``score - before + after`` for ib and diverse, and ``score * after // before``
+for fair, where the division is exact because ``before`` is a product of
+factors of ``score``.
 """
 
 from __future__ import annotations
@@ -192,7 +201,9 @@ class ObjectiveValue:
 
 
 def per_voter_utilities(instance: Instance, selected: Sequence[int]) -> tuple[int, ...]:
-    """Each voter's total utility over the selected items."""
+    """Each voter's total utility over the selected items, summed whatever
+    the objective. A :class:`Solution` reports each voter's best item instead
+    for the diverse objective."""
     return tuple(sum(row[j] for j in selected) for row in instance.utilities)
 
 
@@ -225,6 +236,57 @@ def _score(kind: Objective, totals: Iterable[int], mults: Iterable[int]) -> int:
     return sum(mu * t for t, mu in zip(totals, mults))
 
 
+def _gain(
+    kind: Objective,
+) -> Callable[[Sequence[int], Iterable[tuple[int, int, int]]], tuple[int, int]]:
+    """The score over only the rows one more item touches: (after, before).
+
+    The returned function takes ``totals``, each distinct voter row's utility
+    now, and ``column``, the (row, utility, mult) of each row that values the
+    item above 0. ``after`` is :func:`_score` over those rows with the item
+    joined, ``before`` without it; the module docstring says how the pair
+    updates the whole score. Written out rather than through :func:`_score`,
+    which is several times slower on the few rows an item touches.
+    """
+    if kind is Objective.FAIR:
+
+        def gain(totals, column):
+            after = before = 1
+            for r, u, mu in column:
+                t = totals[r] + 1
+                if mu == 1:
+                    after *= t + u
+                    before *= t
+                else:
+                    after *= (t + u) ** mu
+                    before *= t**mu
+            return after, before
+
+        return gain
+    join = _join(kind)
+
+    def gain(totals, column):
+        after = before = 0
+        for r, u, mu in column:
+            t = totals[r]
+            after += mu * join(t, u)
+            before += mu * t
+        return after, before
+
+    return gain
+
+
+def _voter_utilities(
+    instance: Instance, kind: Objective, selected: Sequence[int]
+) -> tuple[int, ...]:
+    """Each voter's utility for the selection, folded with :func:`_join`."""
+    join = _join(kind)
+    return tuple(
+        functools.reduce(join, (row[j] for j in selected), 0)
+        for row in instance.utilities
+    )
+
+
 def evaluate(
     instance: Instance, kind: Objective | str, selected: Iterable[int]
 ) -> ObjectiveValue:
@@ -234,11 +296,7 @@ def evaluate(
     """
     kind = _coerce_objective(kind)
     sel = clean_selection(selected, instance.num_items)
-    join = _join(kind)
-    totals = (
-        functools.reduce(join, (row[j] for j in sel), 0) for row in instance.utilities
-    )
-    score = _score(kind, totals, itertools.repeat(1))
+    score = _score(kind, _voter_utilities(instance, kind, sel), itertools.repeat(1))
     if kind is Objective.FAIR:
         return ObjectiveValue(kind, fair_product=score, fair_log=log_of_int(score))
     return ObjectiveValue(kind, ib_or_div_value=score)
@@ -246,7 +304,11 @@ def evaluate(
 
 @dataclass(frozen=True)
 class Solution:
-    """A solver result: the chosen knapsack plus consistent bookkeeping."""
+    """A solver result: the chosen knapsack plus consistent bookkeeping.
+
+    ``per_voter_utility`` holds each voter's utility under the objective: the
+    sum over the knapsack for ib and fair, the maximum for diverse.
+    """
 
     knapsack: tuple[int, ...]
     value: ObjectiveValue
@@ -262,11 +324,12 @@ def make_solution(
     method: str,
 ) -> Solution:
     """Build a Solution by re-evaluating everything from the selection."""
+    kind = _coerce_objective(kind)
     sel = clean_selection(selected, instance.num_items)
     return Solution(
         knapsack=sel,
         value=evaluate(instance, kind, sel),
         total_cost=total_cost(instance, sel),
-        per_voter_utility=per_voter_utilities(instance, sel),
+        per_voter_utility=_voter_utilities(instance, kind, sel),
         method=method,
     )

@@ -48,6 +48,7 @@ from .core import (
     Solution,
     ValidationError,
     _coerce_objective,
+    _gain,
     _join,
     _score,
     evaluate,  # not called here; kept so that knapvote.solvers.evaluate resolves
@@ -581,12 +582,18 @@ def solve_greedy(
     best candidate overall (all smaller feasible subsets compete as-is).
 
     Each distinct voter row keeps its utility for the current knapsack, and a
-    candidate item is scored by joining its column into those totals, so no
-    knapsack is evaluated again from scratch. For ib and diverse the density
-    is the score's gain over the item's cost; for fair it is the ratio of the
-    new product to the current one, to the power 1 / cost, compared in exact
-    integer arithmetic, never through floats. Guarantees a (1 - 1/e) factor
-    for the diverse objective and for the logarithm of the fair objective.
+    candidate item is scored by :func:`~knapvote.core._gain` over only the
+    rows that value it, so no knapsack is evaluated again from scratch. For
+    ib and diverse the density is the score's gain over the item's cost; for
+    fair it is the ratio of the new product to the current one, to the power
+    1 / cost, compared in exact integer arithmetic, never through floats.
+    Guarantees a (1 - 1/e) factor for the diverse objective and for the
+    logarithm of the fair objective.
+
+    The next pick depends only on the chosen set, so a chain that reaches a
+    set an earlier chain reached would end where that one ended; it stops
+    there without offering a candidate. The sets are kept as bitmasks, at
+    most one per pick made.
     """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
@@ -595,51 +602,61 @@ def solve_greedy(
     costs = instance.costs
     budget = instance.budget
     rows, mults = _collapse_voters(instance)
-    cols = [tuple(row[j] for row in rows) for j in range(m)]
+    k = len(rows)
+    nz = [
+        [(i, rows[i][j], mults[i]) for i in range(k) if rows[i][j] > 0]
+        for j in range(m)
+    ]
+    items = list(zip(range(m), costs, nz))
     join = _join(kind)
+    gain = _gain(kind)
     fair = kind is Objective.FAIR
     s = min(opts.greedy_seed_size, m)
 
     best: Optional[tuple] = None
+    seen: set[int] = set()  # every set a chain reached past its seed
     for size in range(s + 1):
         for seed in itertools.combinations(range(m), size):
             cost = sum(costs[j] for j in seed)
             if cost > budget:
                 continue
-            chosen = set(seed)
-            totals = [0] * len(rows)
+            chosen = sum(1 << j for j in seed)
+            totals = [0] * k
             for j in seed:
-                totals = list(map(join, totals, cols[j]))
+                for i, u, _ in nz[j]:
+                    totals[i] = join(totals[i], u)
             score = _score(kind, totals, mults)
-            while size == s:  # smaller seeds compete as they are
-                pick = None  # (item, score with it)
-                for j in range(m):
-                    if j in chosen or cost + costs[j] > budget:
+            merged = False
+            while size == s and not merged:  # smaller seeds compete as they are
+                pj = None  # the pick so far: item pj of cost pc, gain (pa, pb)
+                room = budget - cost
+                for j, cj, col in items:
+                    if cj > room or chosen >> j & 1:
                         continue
-                    g = _score(kind, map(join, totals, cols[j]), mults)
-                    if g <= score:
+                    after, before = gain(totals, col)
+                    if after <= before:
                         continue
-                    if pick is not None:
-                        pj, gj = pick
+                    if pj is not None:
                         if fair:
-                            # denser iff (g / score)^(1/c_j) beats the incumbent's;
-                            # compare g^c_pj * score^c_j vs gj^c_j * score^c_pj
-                            denser = (
-                                g ** costs[pj] * score ** costs[j]
-                                > gj ** costs[j] * score ** costs[pj]
-                            )
-                        else:
-                            denser = (g - score) * costs[pj] > (gj - score) * costs[j]
-                        if not denser:
+                            # denser iff (after / before)^(1/cj) beats the pick's;
+                            # the test on whole products, divided by score^(cj + pc)
+                            if after**pc * pb**cj <= pa**cj * before**pc:
+                                continue
+                        elif (after - before) * pc <= (pa - pb) * cj:
                             continue
-                    pick = (j, g)
-                if pick is None:
+                    pj, pc, pa, pb = j, cj, after, before
+                if pj is None:
                     break
-                j, score = pick
-                chosen.add(j)
-                cost += costs[j]
-                totals = list(map(join, totals, cols[j]))
-            cand = (score, cost, tuple(sorted(chosen)))
+                score = score * pa // pb if fair else score + pa - pb
+                cost += pc
+                chosen |= 1 << pj
+                for i, u, _ in nz[pj]:
+                    totals[i] = join(totals[i], u)
+                merged = chosen in seen
+                seen.add(chosen)
+            if merged:
+                continue  # an earlier chain went on from here; best saw its end
+            cand = (score, cost, tuple(j for j in range(m) if chosen >> j & 1))
             if best is None or _better(cand, best):
                 best = cand
 

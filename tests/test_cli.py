@@ -335,6 +335,23 @@ def test_evaluate_selection(run, classic):
     assert doc["feasible"] is True
 
 
+def test_diverse_per_voter_utility_is_each_voters_best_item(run, write_instance):
+    # the diverse value counts each voter's best item, 3 + 5; the additive
+    # sums [4, 6] stay the per-voter utilities of ib and fair
+    path = write_instance(make_instance([[3, 1], [1, 5]], costs=[1, 1], budget=2))
+    code, out, err = run("solve", "--objective", "diverse", path)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["selected"], doc["value"]) == (["a0", "a1"], "8")
+    assert doc["per_voter_utility"] == [3, 5]
+    for objective, per_voter in (("diverse", [3, 5]), ("ib", [4, 6]), ("fair", [4, 6])):
+        code, out, err = run(
+            "evaluate", "--objective", objective, "--selection", "a0,a1", path
+        )
+        assert code == 0, err
+        assert json.loads(out)["per_voter_utility"] == per_voter
+
+
 def test_evaluate_infeasible_selection_still_scores(run, classic):
     code, out, _ = run(
         "evaluate", "--objective", "fair", "--selection", "a0,a1,a2", classic

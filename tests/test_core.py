@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knapvote import (
     Instance,
@@ -15,6 +16,7 @@ from knapvote import (
     total_cost,
     validate_instance,
 )
+from knapvote.core import _gain, _join, _score
 
 from conftest import grouped_instance, make_instance, random_instance
 from helpers import subset_value
@@ -142,6 +144,25 @@ def test_helpers_match_definitions(rng):
         for kind, label in ((Objective.IB, "ib"), (Objective.DIVERSE, "diverse")):
             assert evaluate(inst, kind, sel).score == subset_value(inst, label, sel)
         assert evaluate(inst, Objective.FAIR, sel).score == subset_value(inst, "fair", sel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gain_updates_the_score_from_the_rows_an_item_touches(data):
+    values = st.integers(0, 6) | st.integers(0, 2**70)
+    k = data.draw(st.integers(1, 6))
+    totals = data.draw(st.lists(values, min_size=k, max_size=k))
+    mults = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    col = data.draw(st.lists(values, min_size=k, max_size=k))
+    column = [(r, u, mults[r]) for r, u in enumerate(col) if u > 0]
+    for kind in Objective:
+        score = _score(kind, totals, mults)
+        new = _score(kind, map(_join(kind), totals, col), mults)
+        after, before = _gain(kind)(totals, column)
+        if kind is Objective.FAIR:
+            assert new * before == score * after
+        else:
+            assert new == score + (after - before)
 
 
 def test_ib_is_modular(rng):

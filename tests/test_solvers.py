@@ -529,6 +529,19 @@ def test_greedy_counts_duplicate_voters(inst):
         assert solve_greedy(doubled, kind).knapsack == sol.knapsack
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fpt_instances(), st.randoms().map(random_instance)))
+@_with_examples(EDGE_CASES)
+def test_greedy_matches_its_definition_at_every_seed_size(inst):
+    # chains are longest from seeds of size 1, and there most of them reach a
+    # set an earlier chain reached, where greedy stops them early
+    for size in (1, 2, 3):
+        opts = SolveOptions(greedy_seed_size=size)
+        for kind, label in KINDS:
+            expected = greedy_by_definition(inst, label, size)
+            assert solve_greedy(inst, kind, opts).knapsack == expected
+
+
 # dispatch
 
 
