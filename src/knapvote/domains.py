@@ -9,17 +9,20 @@ of items (a, b) the voters who weakly prefer b to a form one contiguous block.
 
 Recognition reduces both questions to the consecutive-ones property: find a
 column order making the ones in every row contiguous. That is solved with a
-PQ-tree. The tree returned by the reduction represents all valid orders; we
-extract a canonical one (the lexicographically smallest frontier) so that
-recognition is deterministic.
+PQ-tree (Booth & Lueker 1976). Each node carries the bitmask of the columns
+below it, so a row is applied by walking down to the deepest node holding all
+of its ones and restructuring only the chains of partly covered nodes below
+it. Every pass is a loop, never a recursion, so a tree as deep as the number
+of columns needs no change to the interpreter's recursion limit. The tree
+represents all valid orders; we extract a canonical one (the
+lexicographically smallest frontier) so that recognition is deterministic.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Optional, Sequence
 
-from .core import GuardrailError, Instance, ValidationError
+from .core import GuardrailError, Instance, ValidationError, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -27,199 +30,155 @@ from .core import GuardrailError, Instance, ValidationError
 
 
 class _Node:
-    __slots__ = ("kind", "children", "col")
+    __slots__ = ("kind", "children", "leaves")
 
-    def __init__(self, kind: str, children: Optional[list["_Node"]] = None, col: int = -1):
+    def __init__(self, kind: str, children: list["_Node"], leaves: int):
         self.kind = kind  # "leaf", "P", or "Q"
-        self.children = children if children is not None else []
-        self.col = col
+        self.children = children
+        self.leaves = leaves  # bitmask of the columns below this node
 
 
 class _ReduceFail(Exception):
     pass
 
 
-def _leaf(col: int) -> _Node:
-    return _Node("leaf", col=col)
+def _make(kind: str, children: list[_Node]) -> _Node:
+    # never called with an empty list; a two-child Q allows both of its
+    # orders, which is what a P node means
+    if len(children) == 1:
+        return children[0]
+    leaves = 0
+    for ch in children:
+        leaves |= ch.leaves
+    return _Node("P" if len(children) == 2 else kind, children, leaves)
 
 
-def _group(nodes: list[_Node]) -> _Node:
-    # never called with an empty list
-    return nodes[0] if len(nodes) == 1 else _Node("P", children=nodes)
+def _block(nodes: list[_Node]) -> list[_Node]:
+    return [_make("P", nodes)] if nodes else []
 
 
-def _reduce_nonroot(node: _Node, counts: dict[int, int], sizes: dict[int, int]) -> tuple[str, _Node]:
-    """Restructure the subtree so that its full leaves can sit at one end.
+def _label(node: _Node, full: int) -> int:
+    """0 if the node holds no full leaf, 2 if it holds only full leaves, else 1."""
+    hit = node.leaves & full
+    return 0 if hit == 0 else 2 if hit == node.leaves else 1
 
-    Returns ("empty"|"full"|"partial", node). A partial node is always a Q
-    whose children are each wholly empty or wholly full, empties first.
+
+def _reduce_partial(node: _Node, full: int) -> list[_Node]:
+    """Restructure a partial non-root subtree so that its full leaves can sit
+    at one end.
+
+    Returns the sequence of subtrees that replaces it inside a Q node, each
+    wholly empty or wholly full, empties first. Below the reduced root a
+    partial node has at most one partial child, so the partial nodes form one
+    chain, reduced here from the bottom up.
     """
-    full = counts[id(node)]
-    size = sizes[id(node)]
-    if full == 0:
-        return "empty", node
-    if full == size:
-        return "full", node
-
-    processed = [_reduce_nonroot(ch, counts, sizes) for ch in node.children]
-
-    if node.kind == "P":
-        empties = [ch for lab, ch in processed if lab == "empty"]
-        fulls = [ch for lab, ch in processed if lab == "full"]
-        partials = [ch for lab, ch in processed if lab == "partial"]
-        if len(partials) >= 2:
+    chain = []
+    while True:
+        labels = [_label(ch, full) for ch in node.children]
+        chain.append((node, labels))
+        if 1 not in labels:
+            break
+        if labels.count(1) > 1:
             raise _ReduceFail
-        if not partials:
-            # mixed empties and fulls; both groups nonempty here
-            return "partial", _Node("Q", children=[_group(empties), _group(fulls)])
-        q = partials[0]
-        children = ([_group(empties)] if empties else []) + q.children
-        if fulls:
-            children = children + [_group(fulls)]
-        return "partial", _Node("Q", children=children)
+        node = node.children[labels.index(1)]
 
-    # Q node: the child sequence must read empties, then at most one partial,
-    # then fulls, in the stored direction or its reversal.
-    out = _match_one_sided(processed)
-    if out is None:
-        out = _match_one_sided(list(reversed(processed)))
-    if out is None:
-        raise _ReduceFail
-    node.children = out
-    return "partial", node
-
-
-def _match_one_sided(pairs: list[tuple[str, _Node]]) -> Optional[list[_Node]]:
     out: list[_Node] = []
-    state = "e"
-    for lab, ch in pairs:
-        if lab == "empty":
-            if state != "e":
-                return None
-            out.append(ch)
-        elif lab == "full":
-            out.append(ch)
-            state = "f"
-        else:
-            if state != "e":
-                return None
-            out.extend(ch.children)
-            state = "f"
+    for node, labels in reversed(chain):
+        if node.kind == "P":
+            empties = [ch for ch, lab in zip(node.children, labels) if lab == 0]
+            fulls = [ch for ch, lab in zip(node.children, labels) if lab == 2]
+            out = _block(empties) + out + _block(fulls)
+            continue
+        # Q node: the children must read empties, then at most one partial,
+        # then fulls, in the stored direction or its reversal
+        seq = list(zip(node.children, labels))
+        if labels == sorted(labels, reverse=True):
+            seq.reverse()
+        elif labels != sorted(labels):
+            raise _ReduceFail
+        out = [x for ch, lab in seq for x in (out if lab == 1 else [ch])]
     return out
 
 
-def _reduce_root(node: _Node, counts: dict[int, int], sizes: dict[int, int]) -> _Node:
-    full = counts[id(node)]
-    size = sizes[id(node)]
-    if full == size or node.kind == "leaf":
-        return node
-
-    processed = [_reduce_nonroot(ch, counts, sizes) for ch in node.children]
-
+def _apply_row(root: _Node, full: int) -> None:
+    """Restructure the tree in place so that the columns in ``full`` can sit
+    consecutively, or raise _ReduceFail."""
+    # descend to the deepest node that still contains every full leaf
+    node = root
+    while True:
+        for ch in node.children:
+            if ch.leaves & full == full:
+                node = ch
+                break
+        else:
+            break
+    if node.leaves == full:
+        return
+    labels = [_label(ch, full) for ch in node.children]
     if node.kind == "P":
-        empties = [ch for lab, ch in processed if lab == "empty"]
-        fulls = [ch for lab, ch in processed if lab == "full"]
-        partials = [ch for lab, ch in processed if lab == "partial"]
-        if len(partials) >= 3:
+        # up to two partial children meet at the fulls under one Q; copying
+        # the result into the node spares updating its parent
+        if labels.count(1) > 2:
             raise _ReduceFail
-        if not partials:
-            node.children = empties + [_group(fulls)]
-            return node
-        if len(partials) == 1:
-            q = partials[0]
-            if fulls:
-                q.children = q.children + [_group(fulls)]
-            node.children = empties + [q]
-            return node
-        q1, q2 = partials
-        merged = q1.children + ([_group(fulls)] if fulls else []) + list(reversed(q2.children))
-        node.children = empties + [_Node("Q", children=merged)]
-        return node
+        empties = [ch for ch, lab in zip(node.children, labels) if lab == 0]
+        fulls = [ch for ch, lab in zip(node.children, labels) if lab == 2]
+        inner = [_reduce_partial(ch, full) for ch, lab in zip(node.children, labels) if lab == 1]
+        first, second = (inner + [[], []])[:2]
+        new = _make("P", empties + [_make("Q", first + _block(fulls) + second[::-1])])
+        node.kind, node.children = new.kind, new.children
+        return
 
     # Q root: pattern empties*, partial?, fulls*, partial?, empties*.
     out: list[_Node] = []
     state = "pre"
-    for lab, ch in processed:
-        if lab == "empty":
+    for ch, lab in zip(node.children, labels):
+        if lab == 0:
             if state == "full":
                 state = "post"
             out.append(ch)
-        elif lab == "full":
+        elif lab == 2:
             if state == "post":
                 raise _ReduceFail
             out.append(ch)
             state = "full"
+        elif state == "pre":
+            out.extend(_reduce_partial(ch, full))
+            state = "full"
+        elif state == "full":
+            out.extend(reversed(_reduce_partial(ch, full)))
+            state = "post"
         else:
-            if state == "pre":
-                out.extend(ch.children)
-                state = "full"
-            elif state == "full":
-                out.extend(reversed(ch.children))
-                state = "post"
-            else:
-                raise _ReduceFail
+            raise _ReduceFail
     node.children = out
-    return node
 
 
-def _normalize(node: _Node) -> _Node:
-    if node.kind == "leaf":
-        return node
-    node.children = [_normalize(ch) for ch in node.children]
-    if len(node.children) == 1:
-        return node.children[0]
-    if node.kind == "Q" and len(node.children) == 2:
-        node.kind = "P"
-    return node
-
-
-def _apply_row(root: _Node, full_cols: frozenset[int]) -> Optional[_Node]:
-    counts: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-
-    def fill(n: _Node) -> tuple[int, int]:
-        if n.kind == "leaf":
-            c, s = (1 if n.col in full_cols else 0), 1
+def _frontier(root: _Node) -> tuple[int, ...]:
+    # Preorder, with each node's children pushed left to right, read backwards
+    # lists every subtree whole and after the subtrees of its left siblings,
+    # so a node finds its children's blocks, in order, on top of the stack.
+    preorder = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(node.children)
+    blocks: list[tuple[int, ...]] = []
+    for node in reversed(preorder):
+        if node.kind == "leaf":
+            blocks.append((node.leaves.bit_length() - 1,))
+            continue
+        k = len(node.children)
+        kids = blocks[-k:]
+        del blocks[-k:]
+        if node.kind == "P":
+            # disjoint blocks: ordering by first element minimizes the concatenation
+            kids.sort()
+            blocks.append(tuple(x for b in kids for x in b))
         else:
-            c = s = 0
-            for ch in n.children:
-                cc, ss = fill(ch)
-                c += cc
-                s += ss
-        counts[id(n)] = c
-        sizes[id(n)] = s
-        return c, s
-
-    total, _ = fill(root)
-    # descend to the deepest node that still contains every full leaf
-    node = root
-    while node.kind != "leaf":
-        nxt = None
-        for ch in node.children:
-            if counts[id(ch)] == total:
-                nxt = ch
-                break
-        if nxt is None:
-            break
-        node = nxt
-    try:
-        _reduce_root(node, counts, sizes)
-    except _ReduceFail:
-        return None
-    return _normalize(root)
-
-
-def _frontier(node: _Node) -> tuple[int, ...]:
-    if node.kind == "leaf":
-        return (node.col,)
-    blocks = [_frontier(ch) for ch in node.children]
-    if node.kind == "P":
-        # disjoint blocks: ordering by first element minimizes the concatenation
-        blocks.sort(key=lambda b: b[0])
-        return tuple(x for b in blocks for x in b)
-    fw = tuple(x for b in blocks for x in b)
-    bw = tuple(x for b in reversed(blocks) for x in b)
-    return min(fw, bw)
+            fw = tuple(x for b in kids for x in b)
+            bw = tuple(x for b in reversed(kids) for x in b)
+            blocks.append(min(fw, bw))
+    return blocks[0]
 
 
 def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -246,20 +205,15 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
     if num_cols == 0:
         return ()
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000 + 20 * num_cols))
+    root = _make("P", [_Node("leaf", [], 1 << j) for j in range(num_cols)])
+    # larger rows first tends to keep the tree shallow; sort also makes
+    # the reduction order, and hence intermediate trees, deterministic
     try:
-        root: _Node = _leaf(0) if num_cols == 1 else _Node("P", children=[_leaf(j) for j in range(num_cols)])
-        # larger rows first tends to keep the tree shallow; sort also makes
-        # the reduction order, and hence intermediate trees, deterministic
         for fs in sorted(col_sets, key=lambda s: (-len(s), sorted(s))):
-            new_root = _apply_row(root, fs)
-            if new_root is None:
-                return None
-            root = new_root
-        return _frontier(root)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            _apply_row(root, sum(1 << j for j in fs))
+    except _ReduceFail:
+        return None
+    return _frontier(root)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +222,7 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
 
 def _check_permutation(order: Sequence[int], k: int, what: str) -> tuple[int, ...]:
     order = tuple(order)
-    if sorted(order) != list(range(k)):
+    if not all(_is_int(j) for j in order) or sorted(order) != list(range(k)):
         raise ValidationError(f"order must be a permutation of 0..{k - 1} ({what})")
     return order
 

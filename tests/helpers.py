@@ -116,6 +116,15 @@ def _contiguous(positions: list[int]) -> bool:
     return not positions or positions[-1] - positions[0] == len(positions) - 1
 
 
+def c1p_order_by_search(num_cols: int, rows) -> Optional[tuple[int, ...]]:
+    """The first column order, in permutation order, making every row's ones
+    contiguous, if one exists."""
+    for perm in itertools.permutations(range(num_cols)):
+        if all(_contiguous([p for p, j in enumerate(perm) if row[j]]) for row in rows):
+            return perm
+    return None
+
+
 def sc_witness_by_search(instance: Instance) -> Optional[tuple[int, ...]]:
     """Some voter order making every weak-preference block contiguous."""
     m = instance.num_items

@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
@@ -16,7 +18,7 @@ from knapvote import (
 from knapvote.domains import c1p_order
 
 from conftest import make_instance
-from helpers import sc_witness_by_search, sp_witness_by_search
+from helpers import c1p_order_by_search, sc_witness_by_search, sp_witness_by_search
 
 
 def x3c_smallest():
@@ -73,6 +75,13 @@ def test_verify_rejects_malformed_orders():
         verify_single_crossing(inst, (0, 1))
 
 
+def test_verify_rejects_non_integer_orders():
+    inst = make_instance([[1, 3, 2]])
+    for order in ((0.0, 1, 2), (0, True, 2)):
+        with pytest.raises(ValidationError, match="permutation"):
+            verify_single_peaked(inst, order)
+
+
 def test_c1p_all_zero_rows_give_identity():
     assert c1p_order(3, []) == (0, 1, 2)
     assert c1p_order(3, [(0, 0, 0)]) == (0, 1, 2)
@@ -91,6 +100,54 @@ def test_c1p_odd_cycle_fails():
 def test_c1p_rejects_non_binary():
     with pytest.raises(ValidationError):
         c1p_order(2, [(0, 2)])
+
+
+@st.composite
+def c1p_families(draw):
+    """0/1 rows on at most 7 columns; about half are intervals of one hidden
+    column order, so that most families have a valid order."""
+    n = draw(st.integers(1, 7))
+    hidden = draw(st.permutations(range(n)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, n - 1))
+            ones = set(hidden[lo : draw(st.integers(lo, n - 1)) + 1])
+            rows.append([int(j in ones) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(c1p_families())
+def test_c1p_returns_the_lexicographically_least_order(family):
+    n, rows = family
+    assert c1p_order(n, rows) == c1p_order_by_search(n, rows)
+
+
+def test_c1p_deep_nesting_needs_no_recursion(monkeypatch):
+    # nested suffixes {j, ..., n - 1} build a chain of nodes about n deep
+    n = 400
+    rows = [[0] * j + [1] * (n - j) for j in range(1, n - 1)]
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+
+    def refuse(limit):
+        raise AssertionError("c1p_order changed the recursion limit")
+
+    old = sys.getrecursionlimit()
+    set_limit = sys.setrecursionlimit
+    set_limit(depth + 40)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        order = c1p_order(n, rows)
+    finally:
+        set_limit(old)
+    assert order == tuple(range(n))
 
 
 def test_recognize_peaked_single_item():

@@ -163,6 +163,12 @@ def test_sp_dp_rejects_wrong_order():
         solve_diverse_sp_dp(inst, (0, 1, 2))
 
 
+def test_sp_dp_rejects_non_integer_order():
+    inst = make_instance([[1, 3, 2]], budget=1)
+    with pytest.raises(ValidationError, match="permutation"):
+        solve_diverse_sp_dp(inst, (0.0, 1, 2))
+
+
 def test_sp_dp_guardrail_counts_work():
     inst = make_instance([[1, 2, 4], [2, 3, 1]], costs=[1, 2, 2], budget=3)
     m, u = 3, inst.total_utility()
@@ -206,6 +212,12 @@ def test_ordered_dp_two_blocks():
     inst1 = make_instance([[3, 0], [0, 3]], budget=1)
     sol1 = solve_ordered_diverse_dp(inst1, (0, 1))
     assert sol1.value.score == 3
+
+
+def test_ordered_dp_rejects_non_integer_order():
+    inst = make_instance([[3, 0], [0, 3]], budget=2)
+    with pytest.raises(ValidationError, match="permutation"):
+        solve_ordered_diverse_dp(inst, (0.0, 1))
 
 
 def test_ordered_dp_answer_never_exceeds_true_diverse(rng):
