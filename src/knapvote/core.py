@@ -16,7 +16,10 @@ supported, each built in two steps:
 products are computed exactly over arbitrary-precision integers; a float log
 is carried for display only. :func:`evaluate`, brute force, the greedy and
 the per-voter vector table score knapsacks only through these two helpers,
-and the greedy scores its candidates through :func:`_gain`.
+and brute force and the greedy score their candidates through :func:`_gain`.
+Solvers use float logarithms of fair gains only to prune or to order, with
+a margin wider than their rounding error, so every result is the one exact
+arithmetic gives.
 
 The score is a sum (ib, diverse) or a product (fair) of one term per voter
 row, so one more item changes only the terms of the rows that value it above
@@ -133,10 +136,7 @@ def validate_instance(instance: Instance) -> list[str]:
             seen[name] = j
     for i, row in enumerate(instance.utilities):
         if len(row) != m:
-            out.append(
-                f"ragged utility matrix: row for voter {i} has length {len(row)},"
-                f" expected {m}"
-            )
+            out.append(_ragged_row(i, len(row), m))
             continue
         for j, u in enumerate(row):
             if not _is_int(u) or u < 0:
@@ -146,6 +146,13 @@ def validate_instance(instance: Instance) -> list[str]:
     if not _is_int(instance.budget) or instance.budget < 0:
         out.append("budget must be an integer >= 0")
     return out
+
+
+def _ragged_row(voter: int, length: int, num_items: int) -> str:
+    return (
+        f"ragged utility matrix: row for voter {voter} has length {length},"
+        f" expected {num_items}"
+    )
 
 
 def require_valid(instance: Instance) -> None:

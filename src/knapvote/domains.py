@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .core import GuardrailError, Instance, ValidationError, _is_int
+from .core import GuardrailError, Instance, ValidationError, _is_int, _ragged_row
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,19 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
 # single-peaked
 
 
+def _check_rows(instance: Instance) -> None:
+    """Refuse a voter row that is not one entry per item.
+
+    The recognizers index rows by item, so this is the one invariant they
+    need; checking only the lengths is O(n), where ``require_valid`` reads
+    every entry.
+    """
+    m = instance.num_items
+    for i, row in enumerate(instance.utilities):
+        if len(row) != m:
+            raise ValidationError(_ragged_row(i, len(row), m))
+
+
 def _check_permutation(order: Sequence[int], k: int, what: str) -> tuple[int, ...]:
     order = tuple(order)
     if not all(_is_int(j) for j in order) or sorted(order) != list(range(k)):
@@ -229,6 +242,7 @@ def _check_permutation(order: Sequence[int], k: int, what: str) -> tuple[int, ..
 
 def verify_single_peaked(instance: Instance, order: Sequence[int]) -> bool:
     """Check that every voter's utilities are unimodal along the item order."""
+    _check_rows(instance)
     order = _check_permutation(order, instance.num_items, "items")
     for row in instance.utilities:
         descending = False
@@ -254,6 +268,7 @@ def recognize_single_peaked(
     consecutive-ones problem with one row per voter per distinct positive
     utility value.
     """
+    _check_rows(instance)
     m = instance.num_items
     rows: list[list[int]] = []
     for urow in instance.utilities:
@@ -276,6 +291,7 @@ def recognize_single_peaked(
 def verify_single_crossing(instance: Instance, order: Sequence[int]) -> bool:
     """Check that under the voter order every weak-preference set over an
     ordered item pair is one contiguous block."""
+    _check_rows(instance)
     order = _check_permutation(order, instance.num_voters, "voters")
     m = instance.num_items
     for a in range(m):
@@ -303,6 +319,7 @@ def recognize_single_crossing(
     One consecutive-ones row per ordered item pair (a, b), marking the voters
     who weakly prefer b to a; columns are voters.
     """
+    _check_rows(instance)
     n = instance.num_voters
     m = instance.num_items
     if m * (m - 1) > max_rows:

@@ -15,7 +15,8 @@ Solver map; ``_ROUTES`` holds the routes, by their ``--method`` names, in the
 order :func:`solve_auto` tries them: ib-dp, sp-dp, sc-dp, fpt, xp-dp,
 bruteforce, then greedy, the inexact fallback.
 
-- :func:`brute_force` - any objective, exhaustive, capped by item count.
+- :func:`brute_force` - any objective, exact branch and bound over subsets,
+  capped by item count.
 - :func:`solve_ib_dp` - additive objective, table over achieved value.
 - :func:`solve_diverse_sp_dp` - diverse objective on a single-peaked profile.
 - :func:`solve_ordered_diverse_dp` - diverse objective relative to a fixed
@@ -36,7 +37,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -129,6 +132,20 @@ def _collapse_voters(instance: Instance) -> tuple[list[tuple[int, ...]], list[in
     return rows, mults
 
 
+def _sparse_columns(
+    instance: Instance,
+) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """The multiplicity of each distinct voter row, and for each item the
+    (row, utility, mult) of every row that values it above 0, as
+    :func:`~knapvote.core._gain` takes them."""
+    rows, mults = _collapse_voters(instance)
+    nz = [
+        [(i, row[j], mu) for i, (row, mu) in enumerate(zip(rows, mults)) if row[j] > 0]
+        for j in range(instance.num_items)
+    ]
+    return mults, nz
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 
@@ -136,7 +153,23 @@ def _collapse_voters(instance: Instance) -> tuple[list[tuple[int, ...]], list[in
 def brute_force(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
-    """Exact optimum by depth-first search over feasible subsets."""
+    """Exact optimum by a depth-first branch and bound over feasible subsets.
+
+    Each node is one chosen set S, ranked against the best set so far by
+    :func:`_better` on (score, cost, sorted indices). Its candidates are the
+    items that still fit and raise the score: ib is additive and diverse, and
+    the logarithm of fair, are monotone submodular, so an item's gain only
+    shrinks as S grows, and an item that gains nothing can only add cost. The
+    candidates are sorted by gain per unit cost, and child p adds candidate p
+    and keeps those after it, so every subset is reached once. Before child p,
+    S's score plus a fractional knapsack over S's gains of candidates p,
+    p + 1, ... bounds every set in child p and in every later child (Horowitz
+    & Sahni 1974; Nemhauser, Wolsey & Fisher 1978), and the loop stops once
+    that bound cannot beat the best set. The bound is an exact integer for ib
+    and diverse, and a float bound on the logarithm for fair, which prunes
+    only past a margin wider than its rounding error; scores are exact
+    integers throughout.
+    """
     opts = options or DEFAULT_OPTIONS
     require_valid(instance)
     kind = _coerce_objective(kind)
@@ -145,50 +178,111 @@ def brute_force(
         raise GuardrailError(
             f"brute force over {m} items exceeds the cap of {opts.max_bruteforce_items}"
         )
-    rows, mults = _collapse_voters(instance)
-    k = len(rows)
+    mults, nz = _sparse_columns(instance)
     costs = instance.costs
     budget = instance.budget
-    nz = [
-        [(i, rows[i][j]) for i in range(k) if rows[i][j] > 0] for j in range(m)
-    ]
-
+    gain = _gain(kind)
+    fair = kind is Objective.FAIR
+    diverse = kind is Objective.DIVERSE
+    if fair:
+        log_costs = [math.log(c) for c in costs]
+    else:
+        # gain * scale[j] is gain / cost scaled by the lcm of the costs: it
+        # orders densities exactly, where floats can tie or misorder them
+        lcm = math.lcm(*costs)
+        scale = [lcm // c for c in costs]
+    totals = [0] * len(mults)  # each row's utility for sel, updated in place
     sel: list[int] = []
-    best: Optional[tuple] = None
-    totals = [0] * k  # each row's utility for sel, updated in place
+    best: tuple = (-1, 0, ())  # below every score, so the empty set replaces it
+    log_best = -math.inf
 
-    def rec(j: int, cost: int) -> None:
-        nonlocal best
-        if j == m:
-            cand = (_score(kind, totals, mults), cost, tuple(sel))
-            if best is None or _better(cand, best):
+    def visit(cands: list[int], cost: int, score: int) -> None:
+        nonlocal best, log_best
+        if score > best[0] or score == best[0] and cost <= best[1]:
+            cand = (score, cost, tuple(sorted(sel)))
+            if _better(cand, best):
                 best = cand
+                if fair:
+                    log_best = math.log(score)
+        room = budget - cost
+        live = []
+        for j in cands:
+            if costs[j] <= room:
+                after, before = gain(totals, nz[j])
+                if after > before:
+                    if fair:
+                        g = math.log(after) - math.log(before)
+                        key = math.log(g) - log_costs[j] if g > 0 else -math.inf
+                    else:
+                        g = after - before
+                        key = g * scale[j]
+                    live.append((key, j, g, after, before))
+        if not live:
             return
-        cj = costs[j]
-        if cost + cj <= budget:
+        live.sort(key=itemgetter(0), reverse=True)
+        items = [t[1] for t in live]
+        n = len(live)
+        if fair:
+            log_score = math.log(score)
+        q = 0  # candidates p .. q - 1 fill whole, and q, if any, in part
+        whole = used = 0
+        for p in range(n):
+            if p:
+                whole -= live[p - 1][2]
+                used -= costs[items[p - 1]]
+            while q < n and used + costs[items[q]] <= room:
+                whole += live[q][2]
+                used += costs[items[q]]
+                q += 1
+            if fair:
+                ub = log_score + whole
+                if q < n:
+                    ub += live[q][2] * ((room - used) / costs[items[q]])
+                if not p:
+                    # Every number summed in this loop is at most the first
+                    # bound: a candidate fits alone, so the fill holds at
+                    # least its gain, and the logs a gain is the difference
+                    # of are of products at most f(S + j). Each log errs by
+                    # about an ulp, a bound adds and drops at most 2m gains,
+                    # and the float keys misorder only densities that agree
+                    # to about 1e-13, so a bound errs by O(m) ulps of the
+                    # first one; 1e-9 of it covers any m below 10^5.
+                    slack = 1e-9 * (1 + abs(ub))
+                if ub + slack < log_best:
+                    break
+            else:
+                ub = score + whole
+                if q < n:
+                    ub += live[q][2] * (room - used) // costs[items[q]]
+                # every set below S costs more than S, so on a tie in score
+                # it can only beat a best that costs more than S
+                if ub < best[0] or ub == best[0] and cost >= best[1]:
+                    break
+            j = items[p]
+            after, before = live[p][3], live[p][4]
+            rest = items[p + 1 :]
             sel.append(j)
-            if kind is Objective.DIVERSE:
+            if diverse:
                 # the max join written out, saving only the rows it raises:
                 # a call to max per row doubles the search time
                 undo = []
-                for i, u in nz[j]:
+                for i, u, _ in nz[j]:
                     if u > totals[i]:
                         undo.append((i, totals[i]))
                         totals[i] = u
-                rec(j + 1, cost + cj)
+                visit(rest, cost + costs[j], score + after - before)
                 for i, old in undo:
                     totals[i] = old
             else:
-                for i, u in nz[j]:
+                for i, u, _ in nz[j]:
                     totals[i] += u
-                rec(j + 1, cost + cj)
-                for i, u in nz[j]:
+                child = score * after // before if fair else score + after - before
+                visit(rest, cost + costs[j], child)
+                for i, u, _ in nz[j]:
                     totals[i] -= u
             sel.pop()
-        rec(j + 1, cost)
 
-    rec(0, 0)
-    assert best is not None  # the empty knapsack is always feasible
+    visit(list(range(m)), 0, _score(kind, totals, mults))
     return make_solution(instance, kind, best[2], "bruteforce")
 
 
@@ -574,6 +668,26 @@ def solve_fair_xp_dp(
 # density greedy with partial enumeration
 
 
+def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) -> bool:
+    """Whether (after / before)^(1 / cost) beats (pa / pb)^(1 / pc).
+
+    Equal costs compare the ratios themselves. Otherwise the test is
+    pc * log(after / before) > cost * log(pa / pb) in floats; each side errs
+    by a few ulps of pc * log(after) or cost * log(pa), far inside the
+    margin, and only within the margin does the exact test run, on integers
+    of about cost * log(product) bits.
+    """
+    if cost == pc:
+        return after * pb > pa * before
+    la, lpa = math.log(after), math.log(pa)
+    lhs = pc * (la - math.log(before))
+    rhs = cost * (lpa - math.log(pb))
+    if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
+        return lhs > rhs
+    # the test on whole products, divided by score^(cost + pc)
+    return after**pc * pb**cost > pa**cost * before**pc
+
+
 def solve_greedy(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
@@ -586,7 +700,9 @@ def solve_greedy(
     rows that value it, so no knapsack is evaluated again from scratch. For
     ib and diverse the density is the score's gain over the item's cost; for
     fair it is the ratio of the new product to the current one, to the power
-    1 / cost, compared in exact integer arithmetic, never through floats.
+    1 / cost. Fair densities are compared through float logarithms, and in
+    exact integer arithmetic only when the two fall within a margin of each
+    other, so the time does not grow with the size of the costs.
     Guarantees a (1 - 1/e) factor for the diverse objective and for the
     logarithm of the fair objective.
 
@@ -601,12 +717,8 @@ def solve_greedy(
     m = instance.num_items
     costs = instance.costs
     budget = instance.budget
-    rows, mults = _collapse_voters(instance)
-    k = len(rows)
-    nz = [
-        [(i, rows[i][j], mults[i]) for i in range(k) if rows[i][j] > 0]
-        for j in range(m)
-    ]
+    mults, nz = _sparse_columns(instance)
+    k = len(mults)
     items = list(zip(range(m), costs, nz))
     join = _join(kind)
     gain = _gain(kind)
@@ -638,9 +750,7 @@ def solve_greedy(
                         continue
                     if pj is not None:
                         if fair:
-                            # denser iff (after / before)^(1/cj) beats the pick's;
-                            # the test on whole products, divided by score^(cj + pc)
-                            if after**pc * pb**cj <= pa**cj * before**pc:
+                            if not _denser_fair(after, before, cj, pa, pb, pc):
                                 continue
                         elif (after - before) * pc <= (pa - pb) * cj:
                             continue

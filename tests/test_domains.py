@@ -75,6 +75,30 @@ def test_verify_rejects_malformed_orders():
         verify_single_crossing(inst, (0, 1))
 
 
+@pytest.mark.parametrize(
+    "check",
+    (
+        lambda inst: verify_single_peaked(inst, (0, 1, 2)),
+        recognize_single_peaked,
+        lambda inst: verify_single_crossing(inst, (0, 1)),
+        recognize_single_crossing,
+    ),
+    ids=(
+        "verify_single_peaked",
+        "recognize_single_peaked",
+        "verify_single_crossing",
+        "recognize_single_crossing",
+    ),
+)
+def test_ragged_rows_are_refused_naming_the_voter(check):
+    inst = make_instance([[1, 2, 3], [1, 2]])
+    with pytest.raises(
+        ValidationError,
+        match="^ragged utility matrix: row for voter 1 has length 2, expected 3$",
+    ):
+        check(inst)
+
+
 def test_verify_rejects_non_integer_orders():
     inst = make_instance([[1, 3, 2]])
     for order in ((0.0, 1, 2), (0, True, 2)):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,7 @@ from knapvote import (
     from_dominating_set,
     from_exact_partition,
     from_knapsack,
+    from_partition,
     from_x3c,
     is_connected_assignment,
     ordered_diverse_table,
@@ -442,6 +444,35 @@ def test_sc_agrees_with_brute_force(inst):
     _assert_agrees(solve_diverse_sc(inst), inst, Objective.DIVERSE)
 
 
+@st.composite
+def search_instances(draw):
+    m = draw(st.integers(1, 8))
+    top = draw(st.sampled_from((1, 3, 9, 2**70)))
+    row = st.lists(st.integers(0, top), min_size=m, max_size=m)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    # voters drawn from a small pool of rows, so rows repeat
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    most = draw(st.sampled_from((1, 4, 2**63)))
+    costs = draw(st.lists(st.integers(1, most), min_size=m, max_size=m))
+    budget = draw(st.integers(0, sum(costs) + 1))
+    return make_instance(rows, costs=costs, budget=budget)
+
+
+# brute force prunes by a bound and ranks ties by cost and then by index, so
+# it is checked against plain enumeration, the reference of the tests above
+@settings(max_examples=300, deadline=None)
+@given(search_instances())
+@_with_examples(EDGE_CASES)
+@example(from_partition([2, 4, 4, 6, 8, 10, 14]).instance)
+@example(from_partition([2, 2, 6, 6, 10, 12]).instance)
+# {0, 3} and {1, 2} tie on value and cost, and the search meets 3 before 0
+@example(make_instance([[1, 2, 3, 4]], costs=[1, 2, 2, 3], budget=4))
+def test_brute_force_is_the_definition_oracle(inst):
+    for kind, label in KINDS:
+        sol = brute_force(inst, kind)
+        assert (sol.value.score, sol.total_cost, sol.knapsack) == best_subset(inst, label)
+
+
 # per-voter utility-vector DP
 
 
@@ -552,6 +583,20 @@ def test_greedy_matches_its_definition_at_every_seed_size(inst):
         for kind, label in KINDS:
             expected = greedy_by_definition(inst, label, size)
             assert solve_greedy(inst, kind, opts).knapsack == expected
+
+
+def test_fair_greedy_time_does_not_grow_with_the_costs():
+    # costs of 300-600 make the exact density test raise products to powers
+    # in the hundreds, over 10 s on this instance with that test alone; the
+    # knapsack is the one that test picks
+    rng = random.Random(0)
+    costs = [rng.randint(300, 600) for _ in range(20)]
+    rows = [[rng.randint(0, 9) for _ in range(20)] for _ in range(5)]
+    inst = make_instance(rows, costs=costs, budget=sum(costs) // 3)
+    start = time.perf_counter()
+    sol = solve_greedy(inst, Objective.FAIR)
+    assert time.perf_counter() - start < 2
+    assert sol.knapsack == (3, 6, 10, 14, 15, 16, 19)
 
 
 # dispatch
