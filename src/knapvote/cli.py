@@ -21,17 +21,10 @@ import re
 import sys
 from typing import Any, Callable, Optional
 
-from .core import (
-    GuardrailError,
-    Objective,
-    ValidationError,
-    _is_int,
-    _voter_utilities,
-    evaluate,
-    total_cost,
-)
+from .core import GuardrailError, Objective, ValidationError, _is_int, make_solution
 from .documents import (
     _decimal_to_int,
+    _require_keys,
     emit_evaluation,
     emit_instance,
     emit_reduction_metadata,
@@ -152,14 +145,7 @@ def _run_solve(args: argparse.Namespace) -> int:
     if args.method == "auto":
         solution = solve_auto(instance, objective, options)
     else:
-        route = _ROUTES[args.method]
-        if route.objective not in (None, objective):
-            raise ValidationError(
-                f"method {route.name} requires --objective {route.objective.value}"
-            )
-        solution = route.run(instance, objective, options)
-        if solution is None:
-            raise ValidationError(route.outside)
+        solution = _ROUTES[args.method].solve(instance, objective, options)
 
     meets: Optional[bool] = None
     if threshold is not None:
@@ -187,15 +173,6 @@ def _run_check_domain(args: argparse.Namespace) -> int:
     return 0 if found is not None else 4
 
 
-def _require_keys(params: dict, required: set[str]) -> None:
-    unknown = sorted(set(params) - required)
-    if unknown:
-        raise ValidationError(f"unknown parameter(s): {', '.join(unknown)}")
-    missing = sorted(required - set(params))
-    if missing:
-        raise ValidationError(f"missing parameter(s): {', '.join(missing)}")
-
-
 def _int_list(value: Any, label: str) -> list[int]:
     if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise ValidationError(f"{label} must be an array of integers")
@@ -212,7 +189,7 @@ def _build_reduction(name: str, params: Any):
     if not isinstance(params, dict):
         raise ValidationError("parameter file must hold a JSON object")
     keys, build = _REDUCTIONS[name]
-    _require_keys(params, keys)
+    _require_keys(params, keys, "parameter")
     return build(params)
 
 
@@ -316,17 +293,16 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         selected.append(index_of[name])
     if len(set(selected)) != len(selected):
         raise ValidationError("selection repeats an item")
-    value = evaluate(instance, objective, selected)
-    cost = total_cost(instance, selected)
+    solution = make_solution(instance, objective, selected, "evaluate")
     sys.stdout.write(
         emit_evaluation(
             instance,
             objective.value,
-            sorted(selected),
-            value.score,
-            cost,
-            _voter_utilities(instance, objective, selected),
-            cost <= instance.budget,
+            solution.knapsack,
+            solution.value.score,
+            solution.total_cost,
+            solution.per_voter_utility,
+            solution.total_cost <= instance.budget,
         )
     )
     return 0

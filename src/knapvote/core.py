@@ -177,10 +177,7 @@ def log_of_int(p: int) -> float:
     """Natural log of a positive integer of arbitrary size (display/ranking only)."""
     if p <= 0:
         raise ValidationError("log requires a positive integer")
-    shift = max(0, p.bit_length() - 64)
-    if shift == 0:
-        return math.log(p)
-    return math.log(p >> shift) + shift * math.log(2.0)
+    return math.log(p)
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def per_voter_utilities(instance: Instance, selected: Sequence[int]) -> tuple[in
     """Each voter's total utility over the selected items, summed whatever
     the objective. A :class:`Solution` reports each voter's best item instead
     for the diverse objective."""
-    return tuple(sum(row[j] for j in selected) for row in instance.utilities)
+    return _voter_utilities(instance, Objective.IB, selected)
 
 
 def total_cost(instance: Instance, selected: Sequence[int]) -> int:

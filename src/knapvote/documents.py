@@ -11,7 +11,7 @@ so that fair products of any size survive the trip through text.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .core import Instance, Solution, ValidationError, _is_int, require_valid
 from .reductions import ReductionOutput
@@ -58,6 +58,16 @@ def _load_json(text: str) -> Any:
         raise ValidationError(f"invalid JSON: {e}")
 
 
+def _require_keys(doc: dict, required: set[str], noun: str) -> None:
+    """Refuse a JSON object whose keys are not exactly ``required``."""
+    unknown = sorted(set(doc) - required)
+    if unknown:
+        raise ValidationError(f"unknown {noun}(s): {', '.join(unknown)}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ValidationError(f"missing {noun}(s): {', '.join(missing)}")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate an instance document.
 
@@ -67,13 +77,7 @@ def parse_instance(text: str) -> Instance:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValidationError("top-level value must be an object")
-    required = {"voters", "items", "utilities", "budget"}
-    unknown = sorted(set(doc) - required)
-    if unknown:
-        raise ValidationError(f"unknown key(s): {', '.join(unknown)}")
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ValidationError(f"missing key(s): {', '.join(missing)}")
+    _require_keys(doc, {"voters", "items", "utilities", "budget"}, "key")
 
     voters = doc["voters"]
     if not _is_int(voters):
@@ -182,7 +186,7 @@ def emit_solution(
 def emit_evaluation(
     instance: Instance,
     kind_label: str,
-    selected: list[int],
+    selected: Sequence[int],
     score: int,
     total_cost: int,
     per_voter: tuple[int, ...],

@@ -20,7 +20,7 @@ lexicographically smallest frontier) so that recognition is deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import GuardrailError, Instance, ValidationError, _is_int, _ragged_row
 
@@ -221,13 +221,18 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
 
 
 def _check_rows(instance: Instance) -> None:
-    """Refuse a voter row that is not one entry per item.
+    """Refuse an instance with no item or no voter, or a voter row that is
+    not one entry per item.
 
-    The recognizers index rows by item, so this is the one invariant they
-    need; checking only the lengths is O(n), where ``require_valid`` reads
+    The recognizers index rows by item, so these are the invariants they
+    need; checking only the shape is O(n), where ``require_valid`` reads
     every entry.
     """
     m = instance.num_items
+    if m == 0:
+        raise ValidationError("instance must have at least one item")
+    if not instance.utilities:
+        raise ValidationError("instance must have at least one voter")
     for i, row in enumerate(instance.utilities):
         if len(row) != m:
             raise ValidationError(_ragged_row(i, len(row), m))
@@ -288,26 +293,29 @@ def recognize_single_peaked(
 # single-crossing
 
 
+def _weak_preference_rows(
+    utilities: Sequence[Sequence[int]], m: int
+) -> Iterator[list[int]]:
+    """For each ordered pair (a, b) of the m items, a 0/1 row over the given
+    voter rows marking those who weakly prefer b to a."""
+    for a in range(m):
+        for b in range(m):
+            if a != b:
+                yield [1 if row[b] >= row[a] else 0 for row in utilities]
+
+
 def verify_single_crossing(instance: Instance, order: Sequence[int]) -> bool:
     """Check that under the voter order every weak-preference set over an
     ordered item pair is one contiguous block."""
     _check_rows(instance)
     order = _check_permutation(order, instance.num_voters, "voters")
-    m = instance.num_items
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            lo = hi = -1
-            cnt = 0
-            for pos, i in enumerate(order):
-                if instance.utilities[i][b] >= instance.utilities[i][a]:
-                    if lo < 0:
-                        lo = pos
-                    hi = pos
-                    cnt += 1
-            if cnt and hi - lo + 1 != cnt:
-                return False
+    ordered = [instance.utilities[i] for i in order]
+    for prefers in _weak_preference_rows(ordered, instance.num_items):
+        # the k marked voters are one block iff the k from the first are marked
+        k = sum(prefers)
+        first = prefers.index(1) if k else 0
+        if 0 in prefers[first : first + k]:
+            return False
     return True
 
 
@@ -320,18 +328,10 @@ def recognize_single_crossing(
     who weakly prefer b to a; columns are voters.
     """
     _check_rows(instance)
-    n = instance.num_voters
     m = instance.num_items
     if m * (m - 1) > max_rows:
         raise GuardrailError(
             f"single-crossing recognition needs more than {max_rows} constraint rows"
         )
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            rows.append(
-                [1 if row[b] >= row[a] else 0 for row in instance.utilities]
-            )
-    return c1p_order(n, rows)
+    rows = _weak_preference_rows(instance.utilities, m)
+    return c1p_order(instance.num_voters, rows)

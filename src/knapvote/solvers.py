@@ -9,7 +9,8 @@ doing the work.
 The ib, single-peaked and fixed-order routes share one value table: entry x
 of a row is the least cost reaching value at least x, "nothing chosen yet" is
 the row [0, inf, ...], and :func:`_relax` is the only step that updates a row.
-Each walks back by re-deriving every choice from the stored rows.
+The ib table walks back through one mask per item of the entries that item
+improved; the other two re-derive every choice from the stored rows.
 
 Solver map; ``_ROUTES`` holds the routes, by their ``--method`` names, in the
 order :func:`solve_auto` tries them: ib-dp, sp-dp, sc-dp, fpt, xp-dp,
@@ -511,10 +512,8 @@ def solve_diverse_sc(
 ) -> Solution:
     """Exact diverse optimum for single-crossing profiles (recognizes the order)."""
     require_valid(instance)
-    solution = _sc_route(instance, options or DEFAULT_OPTIONS)
-    if solution is None:
-        raise ValidationError(_ROUTES["sc-dp"].outside)
-    return solution
+    opts = options or DEFAULT_OPTIONS
+    return _ROUTES["sc-dp"].solve(instance, Objective.DIVERSE, opts)
 
 
 def solve_diverse_fpt(
@@ -794,6 +793,20 @@ class _Route:
     run: Callable[[Instance, Objective, SolveOptions], Optional[Solution]]
     outside: str = ""
 
+    def solve(
+        self, instance: Instance, kind: Objective, opts: SolveOptions
+    ) -> Solution:
+        """Run this route alone, refusing an objective it does not serve and
+        an instance outside its domain with a ValidationError."""
+        if self.objective not in (None, kind):
+            raise ValidationError(
+                f"method {self.name} requires --objective {self.objective.value}"
+            )
+        solution = self.run(instance, kind, opts)
+        if solution is None:
+            raise ValidationError(self.outside)
+        return solution
+
 
 def _sp_route(instance: Instance, opts: SolveOptions) -> Optional[Solution]:
     order = recognize_single_peaked(instance)
@@ -834,10 +847,6 @@ _ROUTES = {
 }
 
 
-def _as_approximate(solution: Solution) -> Solution:
-    return dataclasses.replace(solution, method="greedy-approximate")
-
-
 def solve_auto(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
@@ -863,7 +872,9 @@ def solve_auto(
             continue
         if solution is not None:
             return solution
-    return _as_approximate(solve_greedy(instance, kind, opts))
+    return dataclasses.replace(
+        solve_greedy(instance, kind, opts), method="greedy-approximate"
+    )
 
 
 # ---------------------------------------------------------------------------

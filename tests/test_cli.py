@@ -11,7 +11,13 @@ import sys
 
 import pytest
 
-from knapvote import Objective, emit_instance, recognize_single_crossing
+from knapvote import (
+    Objective,
+    ValidationError,
+    emit_instance,
+    recognize_single_crossing,
+    solve_diverse_sc,
+)
 from knapvote.cli import _build_parser, main
 from knapvote.solvers import _ROUTES
 from conftest import grouped_instance, make_instance
@@ -370,6 +376,30 @@ def test_evaluate_empty_selection(run, classic):
     assert doc["value"] == "1"
 
 
+def test_evaluate_reports_what_solve_printed(run, write_instance):
+    path = write_instance(
+        make_instance(
+            [[3, 1, 2, 0], [1, 4, 2, 5], [0, 2, 2, 1]], costs=[2, 2, 1, 3], budget=5
+        )
+    )
+    for objective in Objective:
+        code, out, err = run("solve", "--objective", objective.value, path)
+        assert code == 0, err
+        solved = json.loads(out)
+        code, out, err = run(
+            "evaluate",
+            "--objective",
+            objective.value,
+            "--selection",
+            ",".join(solved["selected"]),
+            path,
+        )
+        assert code == 0, err
+        evaluated = json.loads(out)
+        for key in ("objective", "selected", "total_cost", "value", "per_voter_utility"):
+            assert evaluated[key] == solved[key], (objective, key)
+
+
 def test_evaluate_rejects_unknown_or_repeated_names(run, classic):
     code, _, err = run("evaluate", "--objective", "ib", "--selection", "zz", classic)
     assert code == 2
@@ -474,6 +504,9 @@ def test_sc_dp_rejects_a_profile_that_is_not_single_crossing(run, write_instance
     assert code == 2
     assert out == ""
     assert "single-crossing" in err
+    with pytest.raises(ValidationError) as refused:
+        solve_diverse_sc(inst)
+    assert err == f"error: {refused.value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ def test_feasibility_boundaries():
 def test_log_of_int_handles_huge_values():
     assert log_of_int(2**5000) == pytest.approx(5000 * math.log(2), rel=1e-12)
     assert log_of_int(7) == pytest.approx(math.log(7), rel=1e-12)
+    assert log_of_int(3**100) == math.log(3**100)
 
 
 def test_make_solution_reevaluates():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
+    Instance,
     ValidationError,
     from_x3c,
     recognize_single_crossing,
@@ -91,12 +92,45 @@ def test_verify_rejects_malformed_orders():
     ),
 )
 def test_ragged_rows_are_refused_naming_the_voter(check):
-    inst = make_instance([[1, 2, 3], [1, 2]])
-    with pytest.raises(
-        ValidationError,
-        match="^ragged utility matrix: row for voter 1 has length 2, expected 3$",
+    for inst, message in (
+        (
+            make_instance([[1, 2, 3], [1, 2]]),
+            "ragged utility matrix: row for voter 1 has length 2, expected 3",
+        ),
+        (Instance((), (), ((),), 0), "instance must have at least one item"),
+        (Instance(("a0",), (1,), (), 0), "instance must have at least one voter"),
     ):
-        check(inst)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check(inst)
+
+
+def _crosses_by_definition(instance, order):
+    """No ordered item pair (a, b) has voters p < q < r in the order with p
+    and r weakly preferring b to a and q not."""
+    prefers = [
+        [instance.utilities[i][b] >= instance.utilities[i][a] for i in order]
+        for a in range(instance.num_items)
+        for b in range(instance.num_items)
+        if a != b
+    ]
+    return not any(
+        row[p] and not row[q] and row[r]
+        for row in prefers
+        for p, q, r in itertools.combinations(range(len(order)), 3)
+    )
+
+
+def test_verify_single_crossing_matches_the_definition():
+    rng = random.Random(11)
+    answers = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        inst = make_instance([[rng.randint(0, 2) for _ in range(m)] for _ in range(n)])
+        for order in itertools.permutations(range(n)):
+            answer = verify_single_crossing(inst, order)
+            assert answer == _crosses_by_definition(inst, order), (inst, order)
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_verify_rejects_non_integer_orders():
