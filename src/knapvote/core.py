@@ -66,11 +66,14 @@ def _coerce_objective(kind: Objective | str) -> Objective:
 
 @dataclass(frozen=True)
 class Instance:
-    """A multiagent knapsack instance.
+    """A multiagent knapsack instance, valid by construction.
 
-    Invariants (see :func:`validate_instance`): at least one voter and one
-    item, a rectangular n x m utility matrix of nonnegative integers, integer
-    costs >= 1, budget >= 0, and pairwise distinct item names.
+    Invariants: at least one voter and one item, a rectangular n x m utility
+    matrix of nonnegative integers, integer costs >= 1, budget >= 0, and
+    pairwise distinct nonempty item names. The constructor stores the sequences
+    as tuples and raises :class:`ValidationError` naming every violated
+    invariant (see :func:`validate_instance`), so code that takes an Instance
+    never checks them again.
     """
 
     item_names: tuple[str, ...]
@@ -84,6 +87,9 @@ class Instance:
         object.__setattr__(
             self, "utilities", tuple(tuple(row) for row in self.utilities)
         )
+        problems = validate_instance(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def num_voters(self) -> int:
@@ -109,7 +115,9 @@ def _is_int(x: object) -> bool:
 def validate_instance(instance: Instance) -> list[str]:
     """Check every instance invariant; return a list of violations (empty = ok).
 
-    Each violation message names the offending item or voter index.
+    Each violation message names the offending item or voter index. The
+    :class:`Instance` constructor raises these messages joined by "; ", so
+    the list is empty for every instance that exists.
     """
     out: list[str] = []
     m = len(instance.item_names)
@@ -136,7 +144,10 @@ def validate_instance(instance: Instance) -> list[str]:
             seen[name] = j
     for i, row in enumerate(instance.utilities):
         if len(row) != m:
-            out.append(_ragged_row(i, len(row), m))
+            out.append(
+                f"ragged utility matrix: row for voter {i} has length {len(row)},"
+                f" expected {m}"
+            )
             continue
         for j, u in enumerate(row):
             if not _is_int(u) or u < 0:
@@ -146,19 +157,6 @@ def validate_instance(instance: Instance) -> list[str]:
     if not _is_int(instance.budget) or instance.budget < 0:
         out.append("budget must be an integer >= 0")
     return out
-
-
-def _ragged_row(voter: int, length: int, num_items: int) -> str:
-    return (
-        f"ragged utility matrix: row for voter {voter} has length {length},"
-        f" expected {num_items}"
-    )
-
-
-def require_valid(instance: Instance) -> None:
-    problems = validate_instance(instance)
-    if problems:
-        raise ValidationError("; ".join(problems))
 
 
 def clean_selection(selected: Iterable[int], num_items: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, Sequence
 
-from .core import Instance, Solution, ValidationError, _is_int, require_valid
+from .core import Instance, Solution, ValidationError, _is_int
 from .reductions import ReductionOutput
 
 _APPROXIMATE_METHODS = ("greedy", "greedy-approximate")
@@ -72,7 +72,8 @@ def parse_instance(text: str) -> Instance:
     """Parse and fully validate an instance document.
 
     Raises ValidationError with the offending field's path for malformed
-    documents, and with the usual validation messages for semantic problems.
+    documents, and with the :class:`Instance` constructor's messages for
+    semantic problems.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -119,14 +120,12 @@ def parse_instance(text: str) -> Instance:
     if not _is_int(doc["budget"]):
         raise ValidationError('"budget" must be an integer')
 
-    instance = Instance(
+    return Instance(
         item_names=tuple(names),
         costs=tuple(costs),
         utilities=tuple(rows),
         budget=doc["budget"],
     )
-    require_valid(instance)
-    return instance
 
 
 def _dumps(doc: Any) -> str:
@@ -149,7 +148,6 @@ def _encode(value: Any, indent: str) -> str:
 
 def emit_instance(instance: Instance) -> str:
     """Serialize an instance; parse_instance(emit_instance(x)) == x."""
-    require_valid(instance)
     doc = {
         "voters": instance.num_voters,
         "items": [

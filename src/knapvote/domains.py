@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import GuardrailError, Instance, ValidationError, _is_int, _ragged_row
+from .core import GuardrailError, Instance, ValidationError, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +220,6 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
 # single-peaked
 
 
-def _check_rows(instance: Instance) -> None:
-    """Refuse an instance with no item or no voter, or a voter row that is
-    not one entry per item.
-
-    The recognizers index rows by item, so these are the invariants they
-    need; checking only the shape is O(n), where ``require_valid`` reads
-    every entry.
-    """
-    m = instance.num_items
-    if m == 0:
-        raise ValidationError("instance must have at least one item")
-    if not instance.utilities:
-        raise ValidationError("instance must have at least one voter")
-    for i, row in enumerate(instance.utilities):
-        if len(row) != m:
-            raise ValidationError(_ragged_row(i, len(row), m))
-
-
 def _check_permutation(order: Sequence[int], k: int, what: str) -> tuple[int, ...]:
     order = tuple(order)
     if not all(_is_int(j) for j in order) or sorted(order) != list(range(k)):
@@ -247,7 +229,6 @@ def _check_permutation(order: Sequence[int], k: int, what: str) -> tuple[int, ..
 
 def verify_single_peaked(instance: Instance, order: Sequence[int]) -> bool:
     """Check that every voter's utilities are unimodal along the item order."""
-    _check_rows(instance)
     order = _check_permutation(order, instance.num_items, "items")
     for row in instance.utilities:
         descending = False
@@ -273,7 +254,6 @@ def recognize_single_peaked(
     consecutive-ones problem with one row per voter per distinct positive
     utility value.
     """
-    _check_rows(instance)
     m = instance.num_items
     rows: list[list[int]] = []
     for urow in instance.utilities:
@@ -307,7 +287,6 @@ def _weak_preference_rows(
 def verify_single_crossing(instance: Instance, order: Sequence[int]) -> bool:
     """Check that under the voter order every weak-preference set over an
     ordered item pair is one contiguous block."""
-    _check_rows(instance)
     order = _check_permutation(order, instance.num_voters, "voters")
     ordered = [instance.utilities[i] for i in order]
     for prefers in _weak_preference_rows(ordered, instance.num_items):
@@ -327,7 +306,6 @@ def recognize_single_crossing(
     One consecutive-ones row per ordered item pair (a, b), marking the voters
     who weakly prefer b to a; columns are voters.
     """
-    _check_rows(instance)
     m = instance.num_items
     if m * (m - 1) > max_rows:
         raise GuardrailError(

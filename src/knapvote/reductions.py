@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import Instance, Objective, ValidationError, require_valid
+from .core import Instance, Objective, ValidationError
 from .solvers import SolveOptions, brute_force
 
 
@@ -93,11 +93,6 @@ class ReductionOutput:
     sc_witness: Optional[tuple[int, ...]] = None
 
 
-def _finish(out: ReductionOutput) -> ReductionOutput:
-    require_valid(out.instance)
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -142,15 +137,13 @@ def from_knapsack(
         utilities=utilities,
         budget=weight_budget,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.DIVERSE,
-            threshold=scale * value_target,
-            back_map={f"item{j}": ("item", j) for j in range(n)},
-            sp_witness=tuple(range(n)),
-            sc_witness=tuple(range(n)),
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.DIVERSE,
+        threshold=scale * value_target,
+        back_map={f"item{j}": ("item", j) for j in range(n)},
+        sp_witness=tuple(range(n)),
+        sc_witness=tuple(range(n)),
     )
 
 
@@ -169,13 +162,11 @@ def from_partition(entries: Sequence[int]) -> ReductionOutput:
         utilities=(tuple(entries),),
         budget=total // 2,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.FAIR,
-            threshold=total // 2 + 1,
-            back_map={f"entry{i}": ("entry", i) for i in range(len(entries))},
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.FAIR,
+        threshold=total // 2 + 1,
+        back_map={f"entry{i}": ("entry", i) for i in range(len(entries))},
     )
 
 
@@ -205,13 +196,11 @@ def from_exact_partition(entries: Sequence[int], k: int) -> ReductionOutput:
         ),
         budget=k,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.FAIR,
-            threshold=(1 + k * total + total // 2) ** 2,
-            back_map={f"entry{i}": ("entry", i) for i in range(len(entries))},
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.FAIR,
+        threshold=(1 + k * total + total // 2) ** 2,
+        back_map={f"entry{i}": ("entry", i) for i in range(len(entries))},
     )
 
 
@@ -252,13 +241,11 @@ def from_ersp(universe_size: int, sets: SetSystem, d: int, k: int) -> ReductionO
         ),
         budget=k,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.FAIR,
-            threshold=2 ** (d * k),
-            back_map={f"set{i}": ("set", i) for i in range(m)},
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.FAIR,
+        threshold=2 ** (d * k),
+        back_map={f"set{i}": ("set", i) for i in range(m)},
     )
 
 
@@ -282,13 +269,11 @@ def from_dominating_set(graph: SourceGraph, k: int) -> ReductionOutput:
         ),
         budget=k,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.DIVERSE,
-            threshold=n,
-            back_map={f"v{v}": ("vertex", v) for v in range(n)},
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.DIVERSE,
+        threshold=n,
+        back_map={f"v{v}": ("vertex", v) for v in range(n)},
     )
 
 
@@ -371,13 +356,11 @@ def from_multicolored_clique(graph: SourceGraph, k: int) -> ReductionOutput:
         utilities=tuple(tuple(r) for r in rows),
         budget=budget,
     )
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.FAIR,
-            threshold=(t + 1) ** (k * budget),
-            back_map=back,
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.FAIR,
+        threshold=(t + 1) ** (k * budget),
+        back_map=back,
     )
 
 
@@ -458,14 +441,12 @@ def from_x3c(system: SetSystem) -> ReductionOutput:
     for p in range(m):
         back[f"F{p}a"] = ("set", p, "a")
         back[f"F{p}b"] = ("set", p, "b")
-    return _finish(
-        ReductionOutput(
-            instance=instance,
-            kind=Objective.FAIR,
-            threshold=(6 * k + 1) ** (2 + 2 * m) * (6 * k + 2) ** (2 * n),
-            back_map=back,
-            sp_witness=tuple(range(width)),
-        )
+    return ReductionOutput(
+        instance=instance,
+        kind=Objective.FAIR,
+        threshold=(6 * k + 1) ** (2 + 2 * m) * (6 * k + 2) ** (2 * n),
+        back_map=back,
+        sp_witness=tuple(range(width)),
     )
 
 

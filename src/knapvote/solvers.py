@@ -53,11 +53,11 @@ from .core import (
     ValidationError,
     _coerce_objective,
     _gain,
+    _is_int,
     _join,
     _score,
     evaluate,  # not called here; kept so that knapvote.solvers.evaluate resolves
     make_solution,
-    require_valid,
 )
 from .domains import (
     _check_permutation,
@@ -172,7 +172,6 @@ def brute_force(
     integers throughout.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     kind = _coerce_objective(kind)
     m = instance.num_items
     if m > opts.max_bruteforce_items:
@@ -358,7 +357,6 @@ def solve_ib_dp(instance: Instance, options: Optional[SolveOptions] = None) -> S
     back. Work and memory are m * (U + 1) for U the total utility.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     m = instance.num_items
     uhat = instance.total_utility()
     _check_cells("value table", m * (uhat + 1), opts)
@@ -397,7 +395,6 @@ def solve_diverse_sp_dp(
     that item. The work is m(m+1)/2 * (U + 1), checked before it starts.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     order = _check_permutation(order, instance.num_items, "items")
     if not verify_single_peaked(instance, order):
         raise ValidationError("profile is not single-peaked under the given item order")
@@ -450,7 +447,6 @@ def ordered_diverse_table(
     running row. The work is n * m * (U + 1).
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     voter_order = _check_permutation(voter_order, instance.num_voters, "voters")
     n = instance.num_voters
     m = instance.num_items
@@ -511,7 +507,6 @@ def solve_diverse_sc(
     instance: Instance, options: Optional[SolveOptions] = None
 ) -> Solution:
     """Exact diverse optimum for single-crossing profiles (recognizes the order)."""
-    require_valid(instance)
     opts = options or DEFAULT_OPTIONS
     return _ROUTES["sc-dp"].solve(instance, Objective.DIVERSE, opts)
 
@@ -534,7 +529,6 @@ def solve_diverse_fpt(
     item wins over an item, and a lower item index over a higher one.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     n = instance.num_voters
     if n > opts.max_fpt_voters:
         raise GuardrailError(
@@ -632,7 +626,6 @@ def solve_fair_xp_dp(
     voter's total utility) up front, stopping once it passes the cap.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     m = instance.num_items
     bound = m
     for row in instance.utilities:
@@ -711,7 +704,6 @@ def solve_greedy(
     most one per pick made.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     kind = _coerce_objective(kind)
     m = instance.num_items
     costs = instance.costs
@@ -861,7 +853,6 @@ def solve_auto(
     instance.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     kind = _coerce_objective(kind)
     for route in _ROUTES.values():
         if not route.exact or route.objective not in (None, kind):
@@ -915,15 +906,15 @@ def best_connected_assignment(
     max_dp_cells.
     """
     opts = options or DEFAULT_OPTIONS
-    require_valid(instance)
     n = instance.num_voters
     order = _check_permutation(voter_order, n, "voters")
+    # checked before the duplicates go, which would fold True into 1
+    for j in selected:
+        if not _is_int(j) or not 0 <= j < instance.num_items:
+            raise ValidationError(f"bad item index {j!r}")
     items = list(dict.fromkeys(selected))
     if not items:
         raise ValidationError("at least one selected item is required")
-    for j in items:
-        if not 0 <= j < instance.num_items:
-            raise ValidationError(f"bad item index {j!r}")
     k = len(items)
     if n < k:
         raise ValidationError("fewer voters than items to serve")

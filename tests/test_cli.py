@@ -152,6 +152,23 @@ def test_solve_fpt_voter_cap(run, write_instance):
     assert "voters" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    (
+        ("items", 3, '"items" must be an array'),
+        ("utilities", 3, '"utilities" must be an array of arrays'),
+        ("utilities", [3], "utilities[0] must be an array"),
+    ),
+)
+def test_solve_refuses_malformed_documents(run, tmp_path, field, value, message):
+    doc = {"voters": 1, "items": [{"name": "a", "cost": 1}], "utilities": [[0]], "budget": 0}
+    doc[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run("solve", "--objective", "ib", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_solve_missing_file(run):
     code, _, err = run("solve", "--objective", "ib", "/nonexistent.json")
     assert code == 2
@@ -206,6 +223,17 @@ def test_check_domain_crossing(run, write_instance):
     code, out, _ = run("check-domain", "--kind", "sc", path)
     assert code == 0
     assert sorted(json.loads(out)["order"]) == [0, 1]
+
+
+def test_check_domain_verifies_a_crossing_order(run, write_instance, tmp_path):
+    # voters 0 and 2 weakly prefer item 0 to item 1, and voter 1 does not
+    path = write_instance(make_instance([[3, 0], [0, 3], [2, 1]], budget=0))
+    for order, code_wanted, valid in (("[0, 2, 1]", 0, True), ("[0, 1, 2]", 4, False)):
+        order_path = tmp_path / "order.json"
+        order_path.write_text(order)
+        code, out, _ = run("check-domain", "--kind", "sc", "--order", str(order_path), path)
+        assert code == code_wanted
+        assert json.loads(out) == {"kind": "sc", "valid": valid}
 
 
 def test_check_domain_malformed_order_file(run, write_instance, tmp_path):
@@ -322,6 +350,39 @@ def test_generate_rejects_bad_params(run, tmp_path):
         "generate", "--reduction", "partition", "--params", odd, "--out", "/dev/null"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "reduction, payload, message",
+    (
+        ("partition", [1], "parameter file must hold a JSON object"),
+        ("partition", {"entries": [2.5]}, "entries must be an array of integers"),
+        ("exact-partition", {"entries": [2, 2], "k": "1"}, "k must be an integer"),
+        (
+            "ersp",
+            {"universe_size": 2, "sets": 3, "d": 1, "k": 1},
+            "sets must be an array of arrays",
+        ),
+        (
+            "dominating-set",
+            {"num_vertices": 3, "edges": 3, "k": 1},
+            "edges must be an array of two-element arrays",
+        ),
+        (
+            "dominating-set",
+            {"num_vertices": 3, "edges": [[0, 1, 2]], "k": 1},
+            "edges[0] must have exactly two endpoints",
+        ),
+    ),
+)
+def test_generate_refuses_malformed_parameters(run, tmp_path, reduction, payload, message):
+    params = params_file(tmp_path, "params", payload)
+    out_path = tmp_path / "inst.json"
+    code, out, err = run(
+        "generate", "--reduction", reduction, "--params", params, "--out", str(out_path)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

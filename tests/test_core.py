@@ -16,7 +16,7 @@ from knapvote import (
     total_cost,
     validate_instance,
 )
-from knapvote.core import _gain, _join, _score
+from knapvote.core import _coerce_objective, _gain, _join, _score
 
 from conftest import grouped_instance, make_instance, random_instance
 from helpers import subset_value
@@ -27,31 +27,59 @@ def test_minimal_instance_is_valid():
     assert validate_instance(inst) == []
 
 
+def _refused(*fields):
+    """The problems the constructor names when it refuses these fields."""
+    with pytest.raises(ValidationError) as info:
+        Instance(*fields)
+    return str(info.value).split("; ")
+
+
 def test_zero_cost_reported_with_item_index():
-    inst = Instance(("a", "b"), (0, 1), ((1, 1),), 1)
-    messages = validate_instance(inst)
+    messages = _refused(("a", "b"), (0, 1), ((1, 1),), 1)
     assert any("cost" in msg and "item 0" in msg for msg in messages)
 
 
 def test_ragged_matrix_reported():
-    inst = Instance(("a", "b"), (1, 1), ((1, 1), (1,)), 1)
-    assert any("ragged" in msg for msg in validate_instance(inst))
+    assert any("ragged" in msg for msg in _refused(("a", "b"), (1, 1), ((1, 1), (1,)), 1))
 
 
 def test_negative_utility_reported_with_cell():
-    inst = Instance(("a",), (1,), ((-1,),), 1)
-    messages = validate_instance(inst)
+    messages = _refused(("a",), (1,), ((-1,),), 1)
     assert any("utility" in msg and "0" in msg for msg in messages)
 
 
 def test_duplicate_names_and_bad_budget_reported():
-    assert any("name" in m for m in validate_instance(Instance(("a", "a"), (1, 1), ((0, 0),), 1)))
-    assert any("budget" in m for m in validate_instance(Instance(("a",), (1,), ((0,),), -1)))
+    assert any("name" in m for m in _refused(("a", "a"), (1, 1), ((0, 0),), 1))
+    assert any("budget" in m for m in _refused(("a",), (1,), ((0,),), -1))
 
 
 def test_every_violation_is_reported_at_once():
-    inst = Instance(("a", "a"), (0, 1), ((1, -1),), -2)
-    assert len(validate_instance(inst)) >= 3
+    assert len(_refused(("a", "a"), (0, 1), ((1, -1),), -2)) >= 3
+
+
+def test_ragged_rows_are_refused_naming_the_voter():
+    for fields, message in (
+        (
+            (("a0", "a1", "a2"), (1, 1, 1), ((1, 2, 3), (1, 2)), 0),
+            "ragged utility matrix: row for voter 1 has length 2, expected 3",
+        ),
+        (((), (), ((),), 0), "instance must have at least one item"),
+        ((("a0",), (1,), (), 0), "instance must have at least one voter"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Instance(*fields)
+
+
+def test_constructor_names_cost_length_and_bad_item_names():
+    assert _refused(("a", "b"), (1,), ((0, 0),), 0) == [
+        "costs has length 1, expected 2 (one per item)"
+    ]
+    assert _refused(("",), (1,), ((0,),), 0) == [
+        "item name at index 0 must be a nonempty string"
+    ]
+    assert _refused((7,), (1,), ((0,),), 0) == [
+        "item name at index 0 must be a nonempty string"
+    ]
 
 
 def test_empty_selection_conventions():
@@ -122,6 +150,13 @@ def test_log_of_int_handles_huge_values():
     assert log_of_int(2**5000) == pytest.approx(5000 * math.log(2), rel=1e-12)
     assert log_of_int(7) == pytest.approx(math.log(7), rel=1e-12)
     assert log_of_int(3**100) == math.log(3**100)
+
+
+def test_unknown_objective_and_nonpositive_log_are_refused():
+    with pytest.raises(ValidationError, match="^unknown objective 'x'$"):
+        _coerce_objective("x")
+    with pytest.raises(ValidationError, match="^log requires a positive integer$"):
+        log_of_int(0)
 
 
 def test_make_solution_reevaluates():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
-    Instance,
     ValidationError,
     from_x3c,
     recognize_single_crossing,
@@ -76,34 +75,6 @@ def test_verify_rejects_malformed_orders():
         verify_single_crossing(inst, (0, 1))
 
 
-@pytest.mark.parametrize(
-    "check",
-    (
-        lambda inst: verify_single_peaked(inst, (0, 1, 2)),
-        recognize_single_peaked,
-        lambda inst: verify_single_crossing(inst, (0, 1)),
-        recognize_single_crossing,
-    ),
-    ids=(
-        "verify_single_peaked",
-        "recognize_single_peaked",
-        "verify_single_crossing",
-        "recognize_single_crossing",
-    ),
-)
-def test_ragged_rows_are_refused_naming_the_voter(check):
-    for inst, message in (
-        (
-            make_instance([[1, 2, 3], [1, 2]]),
-            "ragged utility matrix: row for voter 1 has length 2, expected 3",
-        ),
-        (Instance((), (), ((),), 0), "instance must have at least one item"),
-        (Instance(("a0",), (1,), (), 0), "instance must have at least one voter"),
-    ):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            check(inst)
-
-
 def _crosses_by_definition(instance, order):
     """No ordered item pair (a, b) has voters p < q < r in the order with p
     and r weakly preferring b to a and q not."""
@@ -158,6 +129,32 @@ def test_c1p_odd_cycle_fails():
 def test_c1p_rejects_non_binary():
     with pytest.raises(ValidationError):
         c1p_order(2, [(0, 2)])
+
+
+def test_c1p_refuses_bad_shapes_and_orders_no_columns():
+    with pytest.raises(ValidationError, match="^num_cols must be >= 0$"):
+        c1p_order(-1, [])
+    with pytest.raises(ValidationError, match="^row 0 has length 1, expected 2$"):
+        c1p_order(2, [(1,)])
+    assert c1p_order(0, []) == ()
+
+
+def _rows(num_cols, sets):
+    return [[1 if j in s else 0 for j in range(num_cols)] for s in sets]
+
+
+def test_c1p_fails_on_a_chain_with_two_partial_children():
+    # applying {0, 1, 2, 5} meets a partial node below the root with two
+    # partial children; no order of the six columns has all three intervals
+    rows = _rows(6, ({0, 2, 3}, {0, 4, 5}, {0, 1, 2, 5}))
+    assert c1p_order_by_search(6, rows) is None
+    assert c1p_order(6, rows) is None
+
+
+def test_c1p_fails_on_a_p_root_with_three_partial_children():
+    # {3, 7, 11} would put 7 between 3 and 11, splitting the block {4..7}
+    rows = _rows(12, ({0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {3, 7, 11}))
+    assert c1p_order(12, rows) is None
 
 
 @st.composite
@@ -304,3 +301,7 @@ def test_recognizer_row_guardrail():
     inst = make_instance([[j for j in range(30)] for _ in range(4)], budget=5)
     with pytest.raises(GuardrailError):
         recognize_single_peaked(inst, max_rows=10)
+    # single crossing needs one row per ordered item pair: 30 * 29 of them
+    with pytest.raises(GuardrailError, match="more than 869 constraint rows"):
+        recognize_single_crossing(inst, max_rows=869)
+    assert recognize_single_crossing(inst, max_rows=870) is not None

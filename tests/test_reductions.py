@@ -66,6 +66,8 @@ def test_source_graph_validation():
         SourceGraph(2, ((0, 1), (1, 0)))
     with pytest.raises(ValidationError):
         SourceGraph(2, ((0, 1),), coloring=(0,))
+    with pytest.raises(ValidationError, match=r"^edge \(0, 1, 2\) must have two endpoints$"):
+        SourceGraph(3, ((0, 1, 2),))
 
 
 def test_set_system_validation():
@@ -113,6 +115,8 @@ def test_knapsack_rejects_bad_inputs():
         from_knapsack((1, 1), (1,), 1, 1)
     with pytest.raises(ValidationError):
         from_knapsack((1,), (1,), -1, 0)
+    with pytest.raises(ValidationError, match="^weight at index 0 must be >= 1$"):
+        from_knapsack((1,), (0,), 1, 1)
 
 
 def test_knapsack_equivalence_sweep():
@@ -226,6 +230,8 @@ def test_ersp_rejects_bad_inputs():
         from_ersp(2, SetSystem(2, ((0,),)), 1, 0)
     with pytest.raises(ValidationError):
         from_ersp(2, SetSystem(2, ()), 1, 1)
+    with pytest.raises(ValidationError, match="^d must be >= 1$"):
+        from_ersp(2, SetSystem(2, ((0,),)), 0, 1)
 
 
 def test_ersp_equivalence_sweep():

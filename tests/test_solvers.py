@@ -686,6 +686,10 @@ def test_best_connected_assignment_rejects_bad_inputs():
         best_connected_assignment(inst, [], (0,))
     with pytest.raises(ValidationError):
         best_connected_assignment(inst, [0, 1], (0,))
+    two = make_instance([[1, 2], [2, 1]], budget=2)
+    for selected, bad in (([True], True), ([0.5], 0.5), ([1, True], True)):
+        with pytest.raises(ValidationError, match=f"^bad item index {bad!r}$"):
+            best_connected_assignment(two, selected, (0, 1))
 
 
 # cross-cutting properties
