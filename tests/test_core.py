@@ -57,19 +57,6 @@ def test_every_violation_is_reported_at_once():
     assert len(_refused(("a", "a"), (0, 1), ((1, -1),), -2)) >= 3
 
 
-def test_ragged_rows_are_refused_naming_the_voter():
-    for fields, message in (
-        (
-            (("a0", "a1", "a2"), (1, 1, 1), ((1, 2, 3), (1, 2)), 0),
-            "ragged utility matrix: row for voter 1 has length 2, expected 3",
-        ),
-        (((), (), ((),), 0), "instance must have at least one item"),
-        ((("a0",), (1,), (), 0), "instance must have at least one voter"),
-    ):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            Instance(*fields)
-
-
 def test_constructor_names_cost_length_and_bad_item_names():
     assert _refused(("a", "b"), (1,), ((0, 0),), 0) == [
         "costs has length 1, expected 2 (one per item)"

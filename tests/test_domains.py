@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
+    Instance,
     ValidationError,
     from_x3c,
     recognize_single_crossing,
@@ -73,6 +74,36 @@ def test_verify_rejects_malformed_orders():
         verify_single_peaked(inst, (0, 0))
     with pytest.raises(ValidationError):
         verify_single_crossing(inst, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "check",
+    (
+        lambda inst: verify_single_peaked(inst, (0, 1, 2)),
+        recognize_single_peaked,
+        lambda inst: verify_single_crossing(inst, (0, 1)),
+        recognize_single_crossing,
+    ),
+    ids=(
+        "verify_single_peaked",
+        "recognize_single_peaked",
+        "verify_single_crossing",
+        "recognize_single_crossing",
+    ),
+)
+def test_ragged_rows_are_refused_naming_the_voter(check):
+    # An invalid Instance cannot be built, so no domain function is ever
+    # handed one: the refusal comes from the constructor, before `check`.
+    for fields, message in (
+        (
+            (("a0", "a1", "a2"), (1, 1, 1), ((1, 2, 3), (1, 2)), 0),
+            "ragged utility matrix: row for voter 1 has length 2, expected 3",
+        ),
+        (((), (), ((),), 0), "instance must have at least one item"),
+        ((("a0",), (1,), (), 0), "instance must have at least one voter"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check(Instance(*fields))
 
 
 def _crosses_by_definition(instance, order):
