@@ -16,10 +16,10 @@ supported, each built in two steps:
 products are computed exactly over arbitrary-precision integers; a float log
 is carried for display only. :func:`evaluate`, brute force, the greedy and
 the per-voter vector table score knapsacks only through these two helpers,
-and brute force and the greedy score their candidates through :func:`_gain`.
-Solvers use float logarithms of fair gains only to prune or to order, with
-a margin wider than their rounding error, so every result is the one exact
-arithmetic gives.
+and brute force scores its candidates through :func:`_gain` (the greedy
+scores them for many sets at once in numpy arrays). Solvers use floats only
+to prune or to order, with a margin wider than their rounding error, so
+every result is the one exact arithmetic gives.
 
 The score is a sum (ib, diverse) or a product (fair) of one term per voter
 row, so one more item changes only the terms of the rows that value it above
@@ -73,7 +73,8 @@ class Instance:
     pairwise distinct nonempty item names. The constructor stores the sequences
     as tuples and raises :class:`ValidationError` naming every violated
     invariant (see :func:`validate_instance`), so code that takes an Instance
-    never checks them again.
+    never checks them again. A field or utility row that is not a sequence,
+    or is a str, is refused before the invariants are checked.
     """
 
     item_names: tuple[str, ...]
@@ -82,12 +83,19 @@ class Instance:
     budget: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "item_names", tuple(self.item_names))
-        object.__setattr__(self, "costs", tuple(self.costs))
-        object.__setattr__(
-            self, "utilities", tuple(tuple(row) for row in self.utilities)
+        problems: list[str] = []
+        for name in ("item_names", "costs", "utilities"):
+            value = _as_tuple(getattr(self, name), name, problems)
+            object.__setattr__(self, name, value)
+        rows = tuple(
+            row
+            if type(row) is tuple  # the common case, without a call
+            else _as_tuple(row, f"utility row for voter {i}", problems)
+            for i, row in enumerate(self.utilities)
         )
-        problems = validate_instance(self)
+        object.__setattr__(self, "utilities", rows)
+        if not problems:  # the invariants are checked on sequences only
+            problems = validate_instance(self)
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -106,6 +114,18 @@ class Instance:
     def column_sum(self, j: int) -> int:
         """Total utility all voters assign to item j."""
         return sum(row[j] for row in self.utilities)
+
+
+def _as_tuple(value: object, label: str, problems: list[str]) -> tuple:
+    """``value`` as a tuple, or () after noting a problem when it is not a
+    sequence. A str counts as one value, not as a sequence of characters."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    problems.append(f"{label} must be a sequence, not {type(value).__name__}")
+    return ()
 
 
 def _is_int(x: object) -> bool:
@@ -202,21 +222,24 @@ class ObjectiveValue:
         return self.ib_or_div_value
 
 
-def per_voter_utilities(instance: Instance, selected: Sequence[int]) -> tuple[int, ...]:
+def per_voter_utilities(instance: Instance, selected: Iterable[int]) -> tuple[int, ...]:
     """Each voter's total utility over the selected items, summed whatever
     the objective. A :class:`Solution` reports each voter's best item instead
-    for the diverse objective."""
-    return _voter_utilities(instance, Objective.IB, selected)
+    for the diverse objective. A bad selection is refused as
+    :func:`clean_selection` refuses it."""
+    sel = clean_selection(selected, instance.num_items)
+    return _voter_utilities(instance, Objective.IB, sel)
 
 
-def total_cost(instance: Instance, selected: Sequence[int]) -> int:
-    return sum(instance.costs[j] for j in selected)
+def total_cost(instance: Instance, selected: Iterable[int]) -> int:
+    """The summed cost of the selected items; a bad selection is refused as
+    :func:`clean_selection` refuses it."""
+    return sum(instance.costs[j] for j in clean_selection(selected, instance.num_items))
 
 
 def is_feasible(instance: Instance, selected: Iterable[int]) -> bool:
     """True iff the selection is a well-formed index set within budget."""
-    sel = clean_selection(selected, instance.num_items)
-    return total_cost(instance, sel) <= instance.budget
+    return total_cost(instance, selected) <= instance.budget
 
 
 def _join(kind: Objective) -> Callable[[int, int], int]:
@@ -331,7 +354,7 @@ def make_solution(
     return Solution(
         knapsack=sel,
         value=evaluate(instance, kind, sel),
-        total_cost=total_cost(instance, sel),
+        total_cost=sum(instance.costs[j] for j in sel),
         per_voter_utility=_voter_utilities(instance, kind, sel),
         method=method,
     )

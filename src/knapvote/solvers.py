@@ -29,7 +29,10 @@ bruteforce, then greedy, the inexact fallback.
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact totals of the
   distinct voter rows.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
-  for the diverse objective and for the logarithm of the fair objective.
+  for the diverse objective and for the logarithm of the fair objective. The
+  chains of a block of seeds advance in lockstep as arrays, identical sets
+  merge after each step, and floats pick each step's item unless several are
+  within a margin of the best, when the exact integer tests decide.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -41,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +57,6 @@ from .core import (
     _coerce_objective,
     _gain,
     _is_int,
-    _join,
     _score,
     evaluate,  # not called here; kept so that knapvote.solvers.evaluate resolves
     make_solution,
@@ -680,88 +682,233 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     return after**pc * pb**cost > pa**cost * before**pc
 
 
+def _log(a: np.ndarray) -> np.ndarray:
+    """Natural logarithms of nonnegative integers as floats, -inf at 0.
+
+    Python ints (``object``) of any size go through :func:`math.log`.
+    """
+    if a.dtype == object:
+        logs = [math.log(v) if v else -math.inf for v in a.flat]
+        return np.array(logs, dtype=float).reshape(a.shape)
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
+def _log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log(1 + u / t) for integers u >= 0 and t >= 1, as floats within a few
+    ulps.
+
+    int64 arrays divide in floats. For Python ints, a quotient past float
+    range becomes a difference of logs, which is then at least 709 and far
+    from cancelling.
+    """
+    if u.dtype != object:
+        x = u / t
+        return np.log1p(x, out=x)
+
+    def one(a: int, b: int) -> float:
+        try:
+            return math.log1p(a / b)
+        except OverflowError:
+            return math.log(a + b) - math.log(b)
+
+    return np.frompyfunc(one, 2, 1)(u, t).astype(float)
+
+
+def _seed_blocks(
+    costs: np.ndarray, budget: int, size: int, width: int
+) -> Iterator[np.ndarray]:
+    """The feasible seeds of one size in lexicographic order, as index
+    arrays of at most ``width`` rows."""
+    combos = itertools.chain.from_iterable(
+        itertools.combinations(range(len(costs)), size)
+    )
+    while True:
+        raw = np.fromiter(itertools.islice(combos, 8 * width * size), dtype=np.intp)
+        if not len(raw):
+            return
+        raw = raw.reshape(-1, size)
+        fit = raw[costs[raw].sum(axis=1) <= budget]
+        for start in range(0, len(fit), width):
+            yield fit[start : start + width]
+
+
 def solve_greedy(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
     """Partial-enumeration greedy: try every feasible seed of the configured
     size, extend each by the best marginal gain per unit cost, and keep the
     best candidate overall (all smaller feasible subsets compete as-is).
-
-    Each distinct voter row keeps its utility for the current knapsack, and a
-    candidate item is scored by :func:`~knapvote.core._gain` over only the
-    rows that value it, so no knapsack is evaluated again from scratch. For
-    ib and diverse the density is the score's gain over the item's cost; for
-    fair it is the ratio of the new product to the current one, to the power
-    1 / cost. Fair densities are compared through float logarithms, and in
-    exact integer arithmetic only when the two fall within a margin of each
-    other, so the time does not grow with the size of the costs.
     Guarantees a (1 - 1/e) factor for the diverse objective and for the
     logarithm of the fair objective.
 
-    The next pick depends only on the chosen set, so a chain that reaches a
-    set an earlier chain reached would end where that one ended; it stops
-    there without offering a candidate. The sets are kept as bitmasks, at
-    most one per pick made.
+    The chains of a block of seeds advance in lockstep, one pick per step,
+    as arrays with one column per chain: each distinct voter row's utility
+    for the chain's set, its cost and its chosen items. A step scores every
+    item for every chain in one pass over the nonzero utilities, summed per
+    item. For ib and diverse the density is the score's gain over the item's
+    cost; for fair it is the ratio of the new product to the current one, to
+    the power 1 / cost. Floats (the log of the density, and for fair the sum
+    of mult * log1p(u / (t + 1)) over cost) pick out the items within 1e-9
+    (1 + its magnitude) of each chain's best. Their rounding error is far
+    inside that margin, so when one item is inside, it is the pick; when
+    several are, the exact integer tests decide, in index order, and the
+    lowest index wins among equals. Finished sets are ranked by
+    :func:`_better` on their exact scores, which for fair are computed only
+    for the sets whose float log score is within the same margin of the
+    best. Every pick and the answer are thus those of exact arithmetic, and
+    the time does not grow with the size of the costs.
+
+    The next pick depends only on the chosen set, so chains of a block that
+    reach the same set are merged after each step. Blocks hold about 2^15
+    chain-by-nonzero entries. Totals and costs are int64 unless a sum could
+    pass 2^62, and Python ints (``object``) then.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
     m = instance.num_items
     costs = instance.costs
-    budget = instance.budget
+    budget = min(instance.budget, sum(costs))
+    fair = kind is Objective.FAIR
+    diverse = kind is Objective.DIVERSE
+    join = np.maximum if diverse else np.add
     mults, nz = _sparse_columns(instance)
     k = len(mults)
-    items = list(zip(range(m), costs, nz))
-    join = _join(kind)
-    gain = _gain(kind)
-    fair = kind is Objective.FAIR
-    s = min(opts.greedy_seed_size, m)
+    dt = np.int64 if instance.total_utility() + 2 * sum(costs) < 2**62 else object
+    # the nonzeros item by item: row, utility and mult, one entry per row
+    cols = np.array([j for j in range(m) if nz[j]], dtype=np.intp)
+    sizes = np.array([len(nz[j]) for j in cols], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    entries = [e for j in cols for e in nz[j]]
+    er = np.array([e[0] for e in entries], dtype=np.intp)
+    eu = np.array([e[1] for e in entries], dtype=dt)[:, None]
+    em = np.array([e[2] for e in entries], dtype=np.int64)[:, None]
+    util = np.zeros((k, m), dtype=dt)  # util[r, j]: row r's utility for item j
+    util[er, np.repeat(cols, sizes)] = eu[:, 0]
+    c = np.array(costs, dtype=dt)
+    cc = c[cols][:, None]
+    log_cc = None if fair else _log(cc)
+    mu = np.array(mults, dtype=float if fair else dt)
+    width = max(1, 2**15 // max(1, len(er)))
+    best = (_score(kind, [0] * k, mults), 0, ())  # the empty knapsack
+    best_log = 0.0  # fair: the largest float log score seen
 
-    best: Optional[tuple] = None
-    seen: set[int] = set()  # every set a chain reached past its seed
-    for size in range(s + 1):
-        for seed in itertools.combinations(range(m), size):
-            cost = sum(costs[j] for j in seed)
-            if cost > budget:
-                continue
-            chosen = sum(1 << j for j in seed)
-            totals = [0] * k
-            for j in seed:
-                for i, u, _ in nz[j]:
-                    totals[i] = join(totals[i], u)
-            score = _score(kind, totals, mults)
-            merged = False
-            while size == s and not merged:  # smaller seeds compete as they are
-                pj = None  # the pick so far: item pj of cost pc, gain (pa, pb)
-                room = budget - cost
-                for j, cj, col in items:
-                    if cj > room or chosen >> j & 1:
-                        continue
-                    after, before = gain(totals, col)
-                    if after <= before:
-                        continue
-                    if pj is not None:
-                        if fair:
-                            if not _denser_fair(after, before, cj, pa, pb, pc):
-                                continue
-                        elif (after - before) * pc <= (pa - pb) * cj:
-                            continue
-                    pj, pc, pa, pb = j, cj, after, before
-                if pj is None:
-                    break
-                score = score * pa // pb if fair else score + pa - pb
-                cost += pc
-                chosen |= 1 << pj
-                for i, u, _ in nz[pj]:
-                    totals[i] = join(totals[i], u)
-                merged = chosen in seen
-                seen.add(chosen)
-            if merged:
-                continue  # an earlier chain went on from here; best saw its end
-            cand = (score, cost, tuple(j for j in range(m) if chosen >> j & 1))
-            if best is None or _better(cand, best):
+    def rank(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
+        """Let the sets of finished chains compete with the best so far."""
+        nonlocal best, best_log
+        if fair:
+            key = (_log1p_ratio(totals, 1) * mu[:, None]).sum(axis=0)  # not BLAS
+            best_log = max(best_log, key.max())
+            near = np.flatnonzero(key >= best_log - 1e-9 * (1 + best_log))
+        else:
+            key = mu @ totals
+            near = np.flatnonzero(key == key.max()) if key.max() >= best[0] else ()
+        for b in near:
+            score = _score(kind, totals[:, b].tolist(), mults)
+            sel = tuple(np.flatnonzero(chosen[:, b]).tolist())
+            cand = (score, int(cost[b]), sel)
+            if _better(cand, best):
                 best = cand
 
-    assert best is not None  # the empty seed is always considered
+    def exact_picks(totals: np.ndarray, near: np.ndarray, g) -> list[int]:
+        """Each chain's densest near item by the exact integer tests."""
+        bb, pp = np.nonzero(near.T)  # by chain, then item
+        if fair:
+            # after and before of each (chain, item) pair over the item's rows
+            lens = sizes[pp]
+            first = np.cumsum(lens) - lens
+            e = np.arange(lens.sum()) - np.repeat(first - starts[pp], lens)
+            t = totals[er[e], np.repeat(bb, lens)] + 1
+            power = em[e, 0].astype(object)
+            afters, befores = (
+                np.multiply.reduceat(x.astype(object) ** power, first).tolist()
+                for x in (t + eu[e, 0], t)
+            )
+        else:
+            afters, befores = g[pp, bb].tolist(), [0] * len(pp)
+        # the pick so far of each chain: item p of cost pc, gain (pa, pb)
+        picks: dict[int, tuple] = {}
+        for b, p, after, before in zip(bb.tolist(), pp.tolist(), afters, befores):
+            cj = costs[cols[p]]
+            if b in picks:
+                _, pa, pb, pc = picks[b]
+                if fair:
+                    if not _denser_fair(after, before, cj, pa, pb, pc):
+                        continue
+                elif (after - before) * pc <= (pa - pb) * cj:
+                    continue
+            picks[b] = (p, after, before, cj)
+        return [picks[b][0] for b in range(near.shape[1])]
+
+    def advance(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
+        """Run a block of chains to their ends, ranking each as it stops."""
+        while True:
+            ok = ~chosen[cols] & (cc <= budget - cost)
+            # the chain-by-nonzero arrays, the largest, are updated in place
+            g = None
+            if fair:
+                t = totals[er]
+                t += 1
+                terms = _log1p_ratio(eu, t)
+                terms *= em
+                key = np.add.reduceat(terms, starts) / cc
+            else:
+                if diverse:
+                    terms = totals[er]
+                    np.subtract(eu, terms, out=terms)
+                    np.maximum(terms, 0, out=terms)
+                    terms *= em
+                else:
+                    terms = em * eu
+                g = np.broadcast_to(np.add.reduceat(terms, starts), ok.shape)
+                ok &= g > 0
+                key = _log(g) - log_cc
+            key[~ok] = -math.inf
+            top = key.max(axis=0)
+            done = top == -math.inf
+            if done.any():
+                rank(totals[:, done], cost[done], chosen[:, done])
+                if done.all():
+                    return
+                live = ~done
+                totals, cost, chosen = totals[:, live], cost[live], chosen[:, live]
+                key, top = key[:, live], top[live]
+                if g is not None:
+                    g = g[:, live]
+            near = key >= top - 1e-9 * (1 + np.abs(top))
+            pick = key.argmax(axis=0)
+            tied = np.flatnonzero(near.sum(axis=0) > 1)
+            if len(tied):
+                pick[tied] = exact_picks(
+                    totals[:, tied], near[:, tied], None if g is None else g[:, tied]
+                )
+            items = cols[pick]
+            totals = join(totals, util[:, items])
+            cost = cost + c[items]
+            chosen[items, np.arange(len(items))] = True
+            # merge the chains that reached the same set into the first
+            words = np.packbits(chosen, axis=0).T.tobytes()
+            w = len(words) // len(items)
+            reached: dict[bytes, int] = {}
+            for b in range(len(items)):
+                reached.setdefault(words[b * w : (b + 1) * w], b)
+            if len(reached) < len(items):
+                keep = list(reached.values())
+                totals, cost, chosen = totals[:, keep], cost[keep], chosen[:, keep]
+
+    s = min(opts.greedy_seed_size, m)
+    for size in range(1, s + 1):
+        for seeds in _seed_blocks(c, budget, size, width):
+            totals = util[:, seeds[:, 0]]
+            for p in range(1, size):
+                totals = join(totals, util[:, seeds[:, p]])
+            chosen = np.zeros((m, len(seeds)), dtype=bool)
+            chosen[seeds.T, np.arange(len(seeds))] = True
+            cost = c[seeds].sum(axis=1)
+            if size == s and len(cols):
+                advance(totals, cost, chosen)
+            else:  # smaller seeds compete as they are
+                rank(totals, cost, chosen)
     return make_solution(instance, kind, best[2], "greedy")
 
 

@@ -69,6 +69,23 @@ def test_constructor_names_cost_length_and_bad_item_names():
     ]
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((("a",), 3, ((0,),), 0), "costs must be a sequence, not int"),
+        ((("a",), (1,), 5, 0), "utilities must be a sequence, not int"),
+        (("ab", (1, 1), ((0, 0),), 0), "item_names must be a sequence, not str"),
+        (
+            (("a", "b"), (1, 1), ("ab",), 0),
+            "utility row for voter 0 must be a sequence, not str",
+        ),
+    ],
+)
+def test_constructor_refuses_a_non_sequence_or_str_field(fields, message):
+    # a str would otherwise be split into one-character names or utilities
+    assert _refused(*fields) == [message]
+
+
 def test_empty_selection_conventions():
     inst = make_instance([[3, 1]], budget=2)
     assert evaluate(inst, Objective.IB, []).ib_or_div_value == 0
@@ -82,6 +99,20 @@ def test_bad_selection_rejected():
         evaluate(inst, Objective.IB, [3])
     with pytest.raises(ValidationError, match="duplicate"):
         evaluate(inst, Objective.IB, [0, 0])
+
+
+@pytest.mark.parametrize(
+    "helper, selection, message",
+    [
+        (per_voter_utilities, [5], "bad item index 5"),
+        (per_voter_utilities, [0, 0], "duplicate item index 0"),
+        (total_cost, [-1], "bad item index -1"),
+    ],
+)
+def test_selection_helpers_refuse_a_bad_selection(helper, selection, message):
+    inst = make_instance([[1]], costs=[2], budget=1)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        helper(inst, selection)
 
 
 def test_grouped_profile_evaluations():

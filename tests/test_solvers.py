@@ -556,9 +556,35 @@ def test_greedy_bound_on_random_instances(rng):
         assert solve_greedy(inst, Objective.IB).total_cost <= inst.budget
 
 
+# Greedy picks by float densities and lets the exact tests decide among
+# the items within a margin of the best. The first case ties items 0 and 2
+# exactly (gain 1 at cost 2, gain 4 at cost 8), but the float of the later
+# one is an ulp larger. In the second, fair, items 0 and 2 tie with unequal
+# costs: a factor of 2 at cost 1 and of 4 at cost 2. The others hold
+# utilities past int64 and past float range (Python ints), where gains of
+# 10**400 and 10**400 + 1, or fair gains of a utility of 1 or 2 next to a
+# total of 10**400, round to equal floats.
+HUGE = 10**400
+
+GREEDY_CASES = EDGE_CASES + (
+    make_instance([[1, 3, 4, 1, 1], [0, 2, 0, 1, 1]], costs=[2, 3, 8, 3, 6], budget=20),
+    make_instance(
+        [[1, 0, 3, 0, 1], [0, 1, 0, 3, 0], [0, 1, 0, 1, 0]], costs=[1, 3, 2, 2, 1], budget=7
+    ),
+    make_instance(
+        [[15, 0, 0, 0], [0, HUGE, HUGE + 1, 0], [0, 0, 0, 10]], costs=[2, 1, 1, 1], budget=3
+    ),
+    make_instance(
+        [[10**20, 1, 10**20 + 1, 0], [0, 10**20, 1, 10**20]], costs=[1, 1, 2, 1], budget=3
+    ),
+    make_instance([[HUGE, HUGE + 1, 1, 0], [1, 0, HUGE, HUGE]], costs=[2, 2, 1, 3], budget=4),
+    make_instance([[HUGE, 1, 2, 0, 1], [0, 3, 3, HUGE, 0], [HUGE, 0, 0, 0, 2]], budget=3),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(fpt_instances(), st.randoms().map(random_instance)))
-@_with_examples(EDGE_CASES)
+@_with_examples(GREEDY_CASES)
 def test_greedy_counts_duplicate_voters(inst):
     # greedy scores each distinct voter row once, weighted by its count;
     # doubling every voter doubles ib and diverse and squares fair, which
@@ -574,15 +600,46 @@ def test_greedy_counts_duplicate_voters(inst):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(fpt_instances(), st.randoms().map(random_instance)))
-@_with_examples(EDGE_CASES)
+@_with_examples(GREEDY_CASES)
 def test_greedy_matches_its_definition_at_every_seed_size(inst):
     # chains are longest from seeds of size 1, and there most of them reach a
-    # set an earlier chain reached, where greedy stops them early
+    # set another chain reached, where greedy merges them
     for size in (1, 2, 3):
         opts = SolveOptions(greedy_seed_size=size)
         for kind, label in KINDS:
             expected = greedy_by_definition(inst, label, size)
             assert solve_greedy(inst, kind, opts).knapsack == expected
+
+
+def test_greedy_matches_its_definition_over_several_blocks_of_seeds():
+    # the chains advance a block of seeds at a time, each block about 2^15
+    # chain-by-nonzero entries; these 435 pairs of 30 items fill several
+    rng = random.Random(3)
+    rows = [[rng.randint(0, 9) for _ in range(30)] for _ in range(8)]
+    costs = [rng.randint(1, 6) for _ in range(30)]
+    inst = make_instance(rows, costs=costs, budget=sum(costs) // 6)
+    nonzeros = sum(u > 0 for row in rows for u in row)
+    pairs = sum(a + b <= inst.budget for a, b in itertools.combinations(costs, 2))
+    assert pairs * nonzeros > 2 * 2**15  # at least two blocks
+    opts = SolveOptions(greedy_seed_size=2)
+    for kind, label in KINDS:
+        assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 2)
+
+
+def test_fair_greedy_time_does_not_grow_with_the_utilities():
+    # utilities near 10**6: the time may not depend on their size, as it
+    # would with any table indexed by utility totals
+    rng = random.Random(1)
+    rows = [[rng.randint(10**6 - 100, 10**6) for _ in range(20)] for _ in range(5)]
+    costs = [rng.randint(1, 20) for _ in range(20)]
+    inst = make_instance(rows, costs=costs, budget=sum(costs) // 3)
+    start = time.perf_counter()
+    solve_greedy(inst, Objective.FAIR)
+    assert time.perf_counter() - start < 2
+    opts = SolveOptions(greedy_seed_size=1)
+    assert solve_greedy(inst, Objective.FAIR, opts).knapsack == greedy_by_definition(
+        inst, "fair", 1
+    )
 
 
 def test_fair_greedy_time_does_not_grow_with_the_costs():
