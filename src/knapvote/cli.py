@@ -21,9 +21,10 @@ import re
 import sys
 from typing import Any, Callable, Optional
 
-from .core import GuardrailError, Objective, ValidationError, _is_int, make_solution
+from .core import GuardrailError, Objective, ValidationError, make_solution
 from .documents import (
     _decimal_to_int,
+    _load_json,
     _require_keys,
     emit_evaluation,
     emit_instance,
@@ -173,109 +174,48 @@ def _run_check_domain(args: argparse.Namespace) -> int:
     return 0 if found is not None else 4
 
 
-def _int_list(value: Any, label: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise ValidationError(f"{label} must be an array of integers")
-    return value
-
-
-def _as_int(value: Any, label: str) -> int:
-    if not _is_int(value):
-        raise ValidationError(f"{label} must be an integer")
-    return value
-
-
 def _build_reduction(name: str, params: Any):
     if not isinstance(params, dict):
         raise ValidationError("parameter file must hold a JSON object")
     keys, build = _REDUCTIONS[name]
     _require_keys(params, keys, "parameter")
-    return build(params)
+    return build(**params)
 
 
-def _parse_sets(params: dict) -> SetSystem:
-    sets = params["sets"]
-    if not isinstance(sets, list):
-        raise ValidationError("sets must be an array of arrays")
-    return SetSystem(
-        universe_size=_as_int(params["universe_size"], "universe_size"),
-        sets=tuple(tuple(_int_list(s, f"sets[{i}]")) for i, s in enumerate(sets)),
-    )
-
-
-def _parse_graph(params: dict, colored: bool) -> SourceGraph:
-    edges = params["edges"]
-    if not isinstance(edges, list):
-        raise ValidationError("edges must be an array of two-element arrays")
-    parsed = []
-    for i, e in enumerate(edges):
-        pair = _int_list(e, f"edges[{i}]")
-        if len(pair) != 2:
+def _parse_graph(num_vertices: Any, edges: Any, coloring: Any = None) -> SourceGraph:
+    # SourceGraph names an edge with too many endpoints by its value; a
+    # parameter file names it by its index
+    for i, e in enumerate(edges if isinstance(edges, list) else ()):
+        if isinstance(e, list) and len(e) != 2:
             raise ValidationError(f"edges[{i}] must have exactly two endpoints")
-        parsed.append((pair[0], pair[1]))
-    coloring = None
-    if colored:
-        coloring = tuple(_int_list(params["coloring"], "coloring"))
-    return SourceGraph(
-        num_vertices=_as_int(params["num_vertices"], "num_vertices"),
-        edges=tuple(parsed),
-        coloring=coloring,
-    )
+    return SourceGraph(num_vertices, edges, coloring)
 
 
-# --reduction name: (the parameter file's keys, builder from the parameters)
-_REDUCTIONS: dict[str, tuple[set[str], Callable[[dict], Any]]] = {
+# --reduction name: (the parameter file's keys, the generator they are passed
+# to). The generators check the parameters; the lambdas look them up when
+# called, so a function rebound on this module is the one called.
+_REDUCTIONS: dict[str, tuple[set[str], Callable[..., Any]]] = {
     "knapsack": (
         {"values", "weights", "value_target", "weight_budget"},
-        lambda p: from_knapsack(
-            _int_list(p["values"], "values"),
-            _int_list(p["weights"], "weights"),
-            _as_int(p["value_target"], "value_target"),
-            _as_int(p["weight_budget"], "weight_budget"),
-        ),
+        lambda **p: from_knapsack(**p),
     ),
-    "partition": (
-        {"entries"},
-        lambda p: from_partition(_int_list(p["entries"], "entries")),
-    ),
-    "exact-partition": (
-        {"entries", "k"},
-        lambda p: from_exact_partition(
-            _int_list(p["entries"], "entries"), _as_int(p["k"], "k")
-        ),
-    ),
-    "ersp": (
-        {"universe_size", "sets", "d", "k"},
-        lambda p: from_ersp(
-            _as_int(p["universe_size"], "universe_size"),
-            _parse_sets(p),
-            _as_int(p["d"], "d"),
-            _as_int(p["k"], "k"),
-        ),
-    ),
+    "partition": ({"entries"}, lambda **p: from_partition(**p)),
+    "exact-partition": ({"entries", "k"}, lambda **p: from_exact_partition(**p)),
+    "ersp": ({"universe_size", "sets", "d", "k"}, lambda **p: from_ersp(**p)),
     "dominating-set": (
         {"num_vertices", "edges", "k"},
-        lambda p: from_dominating_set(
-            _parse_graph(p, colored=False), _as_int(p["k"], "k")
-        ),
+        lambda k, **g: from_dominating_set(_parse_graph(**g), k),
     ),
     "multicolored-clique": (
         {"num_vertices", "edges", "coloring", "k"},
-        lambda p: from_multicolored_clique(
-            _parse_graph(p, colored=True), _as_int(p["k"], "k")
-        ),
+        lambda k, **g: from_multicolored_clique(_parse_graph(**g), k),
     ),
-    "x3c": ({"universe_size", "sets"}, lambda p: from_x3c(_parse_sets(p))),
+    "x3c": ({"universe_size", "sets"}, lambda **s: from_x3c(SetSystem(**s))),
 }
 
 
 def _run_generate(args: argparse.Namespace) -> int:
-    text = _read(args.params)
-    try:
-        params = json.loads(text)
-    except ValueError as e:  # also an integer past the interpreter's digit limit
-        raise ValidationError(f"invalid JSON in {args.params}: {getattr(e, 'msg', e)}")
-    reduction = _build_reduction(args.reduction, params)
+    reduction = _build_reduction(args.reduction, _load_json(_read(args.params)))
     _write(args.out, emit_instance(reduction.instance))
     sys.stdout.write(emit_reduction_metadata(reduction))
     return 0

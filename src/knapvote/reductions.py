@@ -7,15 +7,39 @@ value reaches the threshold. ``back_map`` ties every produced item name to the
 source entity it stands for, and the optional witness orders record structure
 the construction is designed to have. :func:`verify_reduction` checks the
 equivalence on small inputs with the exhaustive solver.
+
+The source objects and the generators' parameters are valid by construction:
+:class:`SourceGraph`, :class:`SetSystem` and every ``from_*`` function refuse
+a non-int, a bool, a str or a non-sequence where they take integers or
+arrays, and every range violation, with :class:`ValidationError`. Its message
+names the parameter as the ``generate`` command's parameter file spells it
+("k must be an integer", "sets[2] must be an array of integers").
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import Instance, Objective, ValidationError
+from .core import Instance, Objective, ValidationError, _is_int
 from .solvers import SolveOptions, brute_force
+
+
+def _is_seq(value: object) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _int(value: object, label: str) -> int:
+    if not _is_int(value):
+        raise ValidationError(f"{label} must be an integer")
+    return value
+
+
+def _ints(value: object, label: str) -> tuple[int, ...]:
+    if not _is_seq(value) or not all(_is_int(x) for x in value):
+        raise ValidationError(f"{label} must be an array of integers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -27,12 +51,14 @@ class SourceGraph:
     coloring: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
+        if _int(self.num_vertices, "num_vertices") < 1:
             raise ValidationError("graph needs at least one vertex")
+        if not _is_seq(self.edges):
+            raise ValidationError("edges must be an array of two-element arrays")
         norm = []
         seen = set()
-        for e in self.edges:
-            if len(e) != 2:
+        for i, e in enumerate(self.edges):
+            if len(_ints(e, f"edges[{i}]")) != 2:
                 raise ValidationError(f"edge {e!r} must have two endpoints")
             u, v = e
             if u == v:
@@ -47,7 +73,7 @@ class SourceGraph:
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
         if self.coloring is not None:
-            coloring = tuple(self.coloring)
+            coloring = _ints(self.coloring, "coloring")
             if len(coloring) != self.num_vertices:
                 raise ValidationError("coloring must assign a color to every vertex")
             object.__setattr__(self, "coloring", coloring)
@@ -61,11 +87,13 @@ class SetSystem:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
+        if _int(self.universe_size, "universe_size") < 1:
             raise ValidationError("universe must have at least one element")
+        if not _is_seq(self.sets):
+            raise ValidationError("sets must be an array of arrays")
         norm = []
         for idx, s in enumerate(self.sets):
-            elems = sorted(s)
+            elems = sorted(_ints(s, f"sets[{idx}]"))
             for e in elems:
                 if not 0 <= e < self.universe_size:
                     raise ValidationError(f"set {idx} has out-of-range element {e}")
@@ -110,6 +138,9 @@ def from_knapsack(
     identity orders. Reaching the scaled target is then exactly a source
     packing of value >= value_target.
     """
+    values, weights = _ints(values, "values"), _ints(weights, "weights")
+    _int(value_target, "value_target")
+    _int(weight_budget, "weight_budget")
     n = len(values)
     if n < 1:
         raise ValidationError("need at least one item")
@@ -133,7 +164,7 @@ def from_knapsack(
     )
     instance = Instance(
         item_names=tuple(f"item{j}" for j in range(n)),
-        costs=tuple(weights),
+        costs=weights,
         utilities=utilities,
         budget=weight_budget,
     )
@@ -150,6 +181,7 @@ def from_knapsack(
 def from_partition(entries: Sequence[int]) -> ReductionOutput:
     """Partition (split even positive entries into two equal-sum halves) as a
     fair-objective instance with a single voter."""
+    entries = _ints(entries, "entries")
     if len(entries) < 1:
         raise ValidationError("need at least one entry")
     for i, s in enumerate(entries):
@@ -158,8 +190,8 @@ def from_partition(entries: Sequence[int]) -> ReductionOutput:
     total = sum(entries)
     instance = Instance(
         item_names=tuple(f"entry{i}" for i in range(len(entries))),
-        costs=tuple(entries),
-        utilities=(tuple(entries),),
+        costs=entries,
+        utilities=(entries,),
         budget=total // 2,
     )
     return ReductionOutput(
@@ -178,7 +210,8 @@ def from_exact_partition(entries: Sequence[int], k: int) -> ReductionOutput:
     integral. With j = k items chosen the two voter totals sum to a constant,
     so the product peaks exactly when the chosen entries sum to half.
     """
-    if k < 1:
+    entries = _ints(entries, "entries")
+    if _int(k, "k") < 1:
         raise ValidationError("k must be >= 1")
     for i, s in enumerate(entries):
         if s < 1 or s % 2 != 0 or s % k != 0:
@@ -212,18 +245,16 @@ def from_ersp(universe_size: int, sets: SetSystem, d: int, k: int) -> ReductionO
     (1 + c) <= 2**c for every coverage count c, with equality only at
     c in {0, 1}, so the product reaches 2**(d*k) exactly for k disjoint sets.
     """
-    if isinstance(sets, SetSystem):
-        system = sets
-        if system.universe_size != universe_size:
-            raise ValidationError(
-                f"universe_size {universe_size} does not match the set system's "
-                f"{system.universe_size}"
-            )
-    else:
-        system = SetSystem(universe_size=universe_size, sets=tuple(tuple(s) for s in sets))
-    if d < 1:
+    _int(universe_size, "universe_size")
+    system = sets if isinstance(sets, SetSystem) else SetSystem(universe_size, sets)
+    if system.universe_size != universe_size:
+        raise ValidationError(
+            f"universe_size {universe_size} does not match the set system's "
+            f"{system.universe_size}"
+        )
+    if _int(d, "d") < 1:
         raise ValidationError("d must be >= 1")
-    if k < 1:
+    if _int(k, "k") < 1:
         raise ValidationError("k must be >= 1")
     if len(system.sets) < 1:
         raise ValidationError("need at least one set")
@@ -254,7 +285,7 @@ def from_dominating_set(graph: SourceGraph, k: int) -> ReductionOutput:
     item and one voter per vertex, closed-neighborhood 0/1 utilities, unit
     costs, budget k; value reaches the vertex count iff everyone is dominated.
     """
-    if k < 1:
+    if _int(k, "k") < 1:
         raise ValidationError("k must be >= 1")
     n = graph.num_vertices
     closed = [{v} for v in range(n)]
@@ -288,7 +319,7 @@ def from_multicolored_clique(graph: SourceGraph, k: int) -> ReductionOutput:
     endpoints; every voter then totals exactly the vertex count, so the
     product reaches its cap precisely on yes-instances.
     """
-    if k < 2:
+    if _int(k, "k") < 2:
         raise ValidationError("k must be >= 2")
     if graph.coloring is None:
         raise ValidationError("a vertex coloring is required")

@@ -86,14 +86,12 @@ class SolveOptions:
     greedy_seed_size: int = 3
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_bruteforce_items",
-            "max_dp_cells",
-            "max_fpt_voters",
-            "greedy_seed_size",
-        ):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _is_int(value):
+                raise ValidationError(f"{field.name} must be an integer")
+            if value < 1:
+                raise ValidationError(f"{field.name} must be positive")
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -669,7 +667,7 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     pc * log(after / before) > cost * log(pa / pb) in floats; each side errs
     by a few ulps of pc * log(after) or cost * log(pa), far inside the
     margin, and only within the margin does the exact test run, on integers
-    of about cost * log(product) bits.
+    of about cost * log(product) / gcd(cost, pc) bits.
     """
     if cost == pc:
         return after * pb > pa * before
@@ -678,8 +676,11 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     rhs = cost * (lpa - math.log(pb))
     if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
         return lhs > rhs
-    # the test on whole products, divided by score^(cost + pc)
-    return after**pc * pb**cost > pa**cost * before**pc
+    # the test on whole products, divided by score^(cost + pc), with both
+    # exponents divided by g: exact, since t -> t^(1 / g) is increasing
+    g = math.gcd(cost, pc)
+    e, pe = cost // g, pc // g
+    return after**pe * pb**e > pa**e * before**pe
 
 
 def _log(a: np.ndarray) -> np.ndarray:

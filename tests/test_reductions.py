@@ -81,6 +81,35 @@ def test_set_system_validation():
         SetSystem(3, ((1, 1),))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    (
+        (lambda: from_ersp(2, [(0.5, 1)], 2, 1), "sets[0] must be an array of integers"),
+        (lambda: from_knapsack([1], [1], 0.5, 1), "value_target must be an integer"),
+        (lambda: from_knapsack([True], [1], 1, 1), "values must be an array of integers"),
+        (lambda: from_ersp(2, [(True, 0)], 2, 1), "sets[0] must be an array of integers"),
+        (lambda: SourceGraph(2.5, ()), "num_vertices must be an integer"),
+        (lambda: SetSystem(2, 3), "sets must be an array of arrays"),
+        (lambda: SourceGraph(3, ((0, "1"),)), "edges[0] must be an array of integers"),
+        (lambda: from_exact_partition([2, 2], "1"), "k must be an integer"),
+    ),
+    ids=(
+        "ersp-float-element",
+        "knapsack-float-target",
+        "knapsack-bool-value",
+        "ersp-bool-element",
+        "graph-float-vertex-count",
+        "set-system-int-sets",
+        "graph-str-endpoint",
+        "exact-partition-str-k",
+    ),
+)
+def test_generator_inputs_of_the_wrong_type_are_refused(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # knapsack
 

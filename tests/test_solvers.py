@@ -656,6 +656,21 @@ def test_fair_greedy_time_does_not_grow_with_the_costs():
     assert sol.knapsack == (3, 6, 10, 14, 15, 16, 19)
 
 
+def test_fair_greedy_exact_tie_at_huge_unequal_costs_finishes():
+    # items 3 and 4 tie exactly: a factor of 4 at cost 2 * 2^62 against 2 at
+    # cost 2^62, so the exact density test meets exponents near 2^62; divided
+    # by their gcd they are 2 and 1
+    inst = make_instance(
+        [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 0]],
+        costs=[19 * 2**62, 3 * 2**62, 2**62, 2 * 2**62, 2**62],
+        budget=39525165573275800143,
+    )
+    start = time.perf_counter()
+    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    assert time.perf_counter() - start < 2
+    assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (1, 3, 4)
+
+
 # dispatch
 
 
@@ -759,6 +774,12 @@ def test_options_must_be_positive():
         SolveOptions(max_dp_cells=-1)
     with pytest.raises(ValidationError):
         SolveOptions(greedy_seed_size=0)
+    with pytest.raises(ValidationError, match="^max_dp_cells must be an integer$"):
+        SolveOptions(max_dp_cells="5")
+    with pytest.raises(ValidationError, match="^greedy_seed_size must be an integer$"):
+        SolveOptions(greedy_seed_size=2.5)
+    with pytest.raises(ValidationError, match="^max_bruteforce_items must be an integer$"):
+        SolveOptions(max_bruteforce_items=True)
 
 
 def test_solvers_are_deterministic(rng):
