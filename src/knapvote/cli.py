@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import re
 import sys
 from typing import Any, Callable, Optional
@@ -24,6 +23,7 @@ from typing import Any, Callable, Optional
 from .core import GuardrailError, Objective, ValidationError, make_solution
 from .documents import (
     _decimal_to_int,
+    _dumps,
     _load_json,
     _require_keys,
     emit_evaluation,
@@ -163,14 +163,14 @@ def _run_check_domain(args: argparse.Namespace) -> int:
             ok = verify_single_peaked(instance, order)
         else:
             ok = verify_single_crossing(instance, order)
-        sys.stdout.write(json.dumps({"kind": args.kind, "valid": ok}, indent=2) + "\n")
+        sys.stdout.write(_dumps({"kind": args.kind, "valid": ok}))
         return 0 if ok else 4
     if args.kind == "sp":
         found = recognize_single_peaked(instance)
     else:
         found = recognize_single_crossing(instance)
     doc = {"kind": args.kind, "order": list(found) if found is not None else "none"}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc))
     return 0 if found is not None else 4
 
 

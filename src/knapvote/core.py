@@ -15,9 +15,10 @@ supported, each built in two steps:
 "ib" (individually best) is modular, "diverse" monotone submodular. Fair
 products are computed exactly over arbitrary-precision integers; a float log
 is carried for display only. :func:`evaluate`, brute force, the greedy and
-the per-voter vector table score knapsacks only through these two helpers,
-and brute force scores its candidates through :func:`_gain` (the greedy
-scores them for many sets at once in numpy arrays). Solvers use floats only
+the per-voter vector table score knapsacks only through these two helpers.
+Brute force scores its candidates through :func:`_gain`. The greedy scores
+them for many sets at once in numpy arrays, and settles those that floats
+leave near its best through :func:`_gain`. Solvers use floats only
 to prune or to order, with a margin wider than their rounding error, so
 every result is the one exact arithmetic gives.
 

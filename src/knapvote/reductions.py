@@ -285,6 +285,8 @@ def from_dominating_set(graph: SourceGraph, k: int) -> ReductionOutput:
     item and one voter per vertex, closed-neighborhood 0/1 utilities, unit
     costs, budget k; value reaches the vertex count iff everyone is dominated.
     """
+    if not isinstance(graph, SourceGraph):
+        raise ValidationError("graph must be a SourceGraph")
     if _int(k, "k") < 1:
         raise ValidationError("k must be >= 1")
     n = graph.num_vertices
@@ -319,6 +321,8 @@ def from_multicolored_clique(graph: SourceGraph, k: int) -> ReductionOutput:
     endpoints; every voter then totals exactly the vertex count, so the
     product reaches its cap precisely on yes-instances.
     """
+    if not isinstance(graph, SourceGraph):
+        raise ValidationError("graph must be a SourceGraph")
     if _int(k, "k") < 2:
         raise ValidationError("k must be >= 2")
     if graph.coloring is None:
@@ -409,6 +413,8 @@ def from_x3c(system: SetSystem) -> ReductionOutput:
     set voter's row steps at its own cut points, so their preference sets
     over item pairs do not nest.
     """
+    if not isinstance(system, SetSystem):
+        raise ValidationError("system must be a SetSystem")
     n = system.universe_size
     if n % 3 != 0:
         raise ValidationError("universe size must be a multiple of 3")

@@ -10,7 +10,8 @@ The ib, single-peaked and fixed-order routes share one value table: entry x
 of a row is the least cost reaching value at least x, "nothing chosen yet" is
 the row [0, inf, ...], and :func:`_relax` is the only step that updates a row.
 The ib table walks back through one mask per item of the entries that item
-improved; the other two re-derive every choice from the stored rows.
+improved; the other two and the voter-subset DP re-derive every choice from
+the stored rows through :func:`_step_back`.
 
 Solver map; ``_ROUTES`` holds the routes, by their ``--method`` names, in the
 order :func:`solve_auto` tries them: ib-dp, sp-dp, sc-dp, fpt, xp-dp,
@@ -40,9 +41,11 @@ bruteforce, then greedy, the inexact fallback.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -302,9 +305,14 @@ def _empty_row(instance: Instance, width: int) -> tuple[np.ndarray, int, int]:
     """
     costs = instance.costs
     inf = sum(costs) + 1
-    row = np.full(width, inf, dtype=np.int64 if inf + max(costs) < 2**62 else object)
+    row = np.full(width, inf, dtype=_int_dtype(inf + max(costs)))
     row[0] = 0
     return row, inf, min(instance.budget, inf - 1)
+
+
+def _int_dtype(bound: int) -> type:
+    """int64 for numbers below a ``bound`` under 2^62, else Python ints."""
+    return np.int64 if bound < 2**62 else object
 
 
 def _relax(row: np.ndarray, src: np.ndarray, shift: int, add: int) -> None:
@@ -323,18 +331,22 @@ def _relax(row: np.ndarray, src: np.ndarray, shift: int, add: int) -> None:
 
 
 def _step_back(
-    rows: Sequence[np.ndarray], x: int, target, shifts: np.ndarray, adds
+    rows: Sequence[np.ndarray], x: int, target, shifts, adds, by_cost: bool = False
 ) -> tuple[int, int, int]:
-    """Undo one :func:`_relax` step that set an entry to ``target`` at x.
+    """Undo one table step that set an entry to ``target`` at x.
 
-    Source s is ``rows[s]`` and choice k relaxes it by ``shifts[s, k]`` at cost
-    ``adds[k]``. Of the (s, k) that give the target, source 0 (the empty row)
-    wins, then the lowest k, then the lowest s. Returns s, k and the column of
-    ``rows[s]`` that was read.
+    Choice k of source ``rows[s]`` reads column ``x - shifts[s, k]`` and adds
+    ``adds[s, k]`` (both broadcast). Below column 0, a value axis reads column
+    0, as :func:`_relax` does, and a cost axis (``by_cost``) has no source. Of
+    the (s, k) that give the target, the lowest s wins, then the lowest k: no
+    item first where source 0 is the empty row, then the lowest source, then
+    the lowest item. Returns s, k and the column of ``rows[s]`` that was read.
     """
-    cols = np.maximum(x - shifts, 0)
-    hit = np.array([src[c] for src, c in zip(rows, cols)]) + adds == target
-    s, k = min(zip(*np.nonzero(hit)), key=lambda sk: (sk[0] > 0, sk[1], sk[0]))
+    cols, adds = np.broadcast_arrays(x - shifts, adds)
+    fits = cols >= 0 if by_cost else True
+    cols = np.maximum(cols, 0)
+    hit = (np.array([src[c] for src, c in zip(rows, cols)]) + adds == target) & fits
+    s, k = min(zip(*np.nonzero(hit)))
     return int(s), int(k), int(cols[s, k])
 
 
@@ -525,8 +537,9 @@ def solve_diverse_fpt(
     only overcount cost, so the optimal value and the least cost at that value
     are both exact. Each row of the table runs over cost (best value within
     that cost) or over value (least cost reaching it), whichever axis is
-    shorter; the work is 3^k * m * (axis + 1). On equal value and cost, no
-    item wins over an item, and a lower item index over a higher one.
+    shorter; the work is 3^k * m * (axis + 1). The walk back re-derives each
+    block from the stored rows; on equal value and cost, no item wins over an
+    item, then the lowest source set, then the lowest item index.
     """
     opts = options or DEFAULT_OPTIONS
     n = instance.num_voters
@@ -545,7 +558,7 @@ def solve_diverse_fpt(
     _check_cells(f"subset DP over {k} distinct voter rows", 3**k * m * width, opts)
     full = (1 << k) - 1
     # val[T][a]: item a's utility summed over every voter of the rows in T
-    vdt: object = np.int64 if ubound < 2**62 else object
+    vdt = _int_dtype(ubound)
     val = np.zeros((full + 1, m), dtype=vdt)
     for t in range(1, full + 1):
         r = (t & -t).bit_length() - 1
@@ -555,7 +568,8 @@ def solve_diverse_fpt(
     axis = np.arange(width)
     if by_cost:
         table = np.zeros((full + 1, width), dtype=vdt)
-        src = axis - np.array([min(c, width) for c in costs])[:, None]
+        shift = np.array([min(c, width) for c in costs])
+        src = axis - shift[:, None]
         fits = src >= 0
         src[~fits] = 0
         unfit = -(ubound + 1)
@@ -563,8 +577,6 @@ def solve_diverse_fpt(
         empty, _, _ = _empty_row(instance, width)
         table = np.tile(-empty, (full + 1, 1))
         neg_costs = -np.array(costs, dtype=empty.dtype)[:, None]
-    par_set = np.zeros((full + 1, width), dtype=np.int32)
-    par_item = np.full((full + 1, width), -1, dtype=np.int32)
     for s in range(full):
         if s and not s & 1:
             continue  # sorted by lowest row, an optimal split covers row 0 first
@@ -581,12 +593,7 @@ def solve_diverse_fpt(
                 cand = shifted + val[t ^ s][:, None]
             else:
                 cand = row[np.maximum(axis - val[t ^ s][:, None], 0)] + neg_costs
-            pick = cand.argmax(axis=0)
-            best = cand[pick, axis]
-            better = best > table[t]
-            table[t][better] = best[better]
-            par_set[t][better] = s
-            par_item[t][better] = pick[better]
+            np.maximum(table[t], cand.max(axis=0), out=table[t])
             if not sub:
                 break
             sub = (sub - 1) & rest
@@ -595,16 +602,16 @@ def solve_diverse_fpt(
         p = int(np.argmax(last == last[-1]))  # least cost reaching the optimum
     else:
         p = int(np.nonzero(last >= -afford)[0].max())
-    # by value, the blocks' values sum to exactly p at the optimum (a larger
-    # sum would be a larger reachable value), so p never drops below 0
     items: set[int] = set()
-    s = full
-    while par_item[s][p] >= 0:
-        a = int(par_item[s][p])
-        prev = int(par_set[s][p])
+    t = full
+    while table[t][p] != table[0][p]:  # every set starts as row 0, never written
+        # t's sources in the loop's order: those whose lowest free row is in t
+        srcs = [s for s in (0, *range(1, t, 2)) if s & t == s and ~s & (s + 1) & t]
+        blocks = val[t ^ np.array(srcs)]
+        shifts, adds = (shift, blocks) if by_cost else (blocks, neg_costs.T)
+        i, a, p = _step_back(table[srcs], p, table[t][p], shifts, adds, by_cost)
         items.add(a)
-        p -= costs[a] if by_cost else int(val[s ^ prev][a])
-        s = prev
+        t = srcs[i]
     return make_solution(instance, Objective.DIVERSE, sorted(items), "fpt")
 
 
@@ -666,8 +673,8 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     Equal costs compare the ratios themselves. Otherwise the test is
     pc * log(after / before) > cost * log(pa / pb) in floats; each side errs
     by a few ulps of pc * log(after) or cost * log(pa), far inside the
-    margin, and only within the margin does the exact test run, on integers
-    of about cost * log(product) / gcd(cost, pc) bits.
+    margin, and only within the margin does :func:`_log_greater` decide it
+    exactly, with both weights divided by gcd(cost, pc).
     """
     if cost == pc:
         return after * pb > pa * before
@@ -676,11 +683,63 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     rhs = cost * (lpa - math.log(pb))
     if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
         return lhs > rhs
-    # the test on whole products, divided by score^(cost + pc), with both
-    # exponents divided by g: exact, since t -> t^(1 / g) is increasing
     g = math.gcd(cost, pc)
-    e, pe = cost // g, pc // g
-    return after**pe * pb**e > pa**e * before**pe
+    return _log_greater(Fraction(after, before), pc // g, Fraction(pa, pb), cost // g)
+
+
+def _log_greater(r1: Fraction, w1: int, r2: Fraction, w2: int) -> bool:
+    """Whether w1 * ln(r1) > w2 * ln(r2), for r1, r2 >= 1 and coprime
+    weights w1, w2 >= 1, with no number much larger than the inputs.
+
+    The two sides are equal exactly when r1^w1 = r2^w2, and, the weights
+    being coprime and the ratios in lowest terms, that holds exactly when
+    r1 = s^w2 and r2 = s^w1 for one rational s: :func:`_iroot` decides it.
+    Otherwise the logarithms are taken in decimal at P = 40, 80, 160, ...
+    digits until the sides differ by more than 10^(2 - P) * S, where S is
+    w1 * (ln n1 + ln d1) + w2 * (ln n2 + ln d2) over the numerators and
+    denominators. Each ln is correctly rounded, and the difference and the
+    product round once more, to within u = 10^(1 - P) / 2 of the result
+    each, so a side errs by under 5u times its part of S: the bound is four
+    times the error of both sides, which leaves room for the rounding of the
+    test itself. The sides differ, so some P clears it.
+    """
+    parts = (r1.numerator, r1.denominator, r2.numerator, r2.denominator)
+    roots = [_iroot(x, w) for x, w in zip(parts, (w2, w2, w1, w1))]
+    if None not in roots and roots[:2] == roots[2:]:
+        return False
+    prec = 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            n1, d1, n2, d2 = (decimal.Decimal(x).ln() for x in parts)
+            lhs = w1 * (n1 - d1)
+            rhs = w2 * (n2 - d2)
+            if abs(lhs - rhs) > decimal.Decimal(10) ** (2 - prec) * (
+                w1 * (n1 + d1) + w2 * (n2 + d2)
+            ):
+                return lhs > rhs
+        prec *= 2
+
+
+def _iroot(n: int, k: int) -> Optional[int]:
+    """The integer s with s^k = n, for n, k >= 1, or None when there is none.
+
+    A root s >= 2 needs n >= 2^k, so past n's bit length there is none; no
+    power the bisection forms passes twice the bits of n.
+    """
+    if n == 1:
+        return 1
+    bits = n.bit_length()
+    if k >= bits:
+        return None
+    lo, hi = 1, 1 << -(-bits // k)  # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo**k == n else None
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -773,9 +832,10 @@ def solve_greedy(
     fair = kind is Objective.FAIR
     diverse = kind is Objective.DIVERSE
     join = np.maximum if diverse else np.add
+    gain = _gain(kind)
     mults, nz = _sparse_columns(instance)
     k = len(mults)
-    dt = np.int64 if instance.total_utility() + 2 * sum(costs) < 2**62 else object
+    dt = _int_dtype(instance.total_utility() + 2 * sum(costs))
     # the nonzeros item by item: row, utility and mult, one entry per row
     cols = np.array([j for j in range(m) if nz[j]], dtype=np.intp)
     sizes = np.array([len(nz[j]) for j in cols], dtype=np.intp)
@@ -811,34 +871,22 @@ def solve_greedy(
             if _better(cand, best):
                 best = cand
 
-    def exact_picks(totals: np.ndarray, near: np.ndarray, g) -> list[int]:
+    def exact_picks(totals: np.ndarray, near: np.ndarray) -> list[int]:
         """Each chain's densest near item by the exact integer tests."""
-        bb, pp = np.nonzero(near.T)  # by chain, then item
-        if fair:
-            # after and before of each (chain, item) pair over the item's rows
-            lens = sizes[pp]
-            first = np.cumsum(lens) - lens
-            e = np.arange(lens.sum()) - np.repeat(first - starts[pp], lens)
-            t = totals[er[e], np.repeat(bb, lens)] + 1
-            power = em[e, 0].astype(object)
-            afters, befores = (
-                np.multiply.reduceat(x.astype(object) ** power, first).tolist()
-                for x in (t + eu[e, 0], t)
-            )
-        else:
-            afters, befores = g[pp, bb].tolist(), [0] * len(pp)
+        tots = totals.T.tolist()
         # the pick so far of each chain: item p of cost pc, gain (pa, pb)
         picks: dict[int, tuple] = {}
-        for b, p, after, before in zip(bb.tolist(), pp.tolist(), afters, befores):
-            cj = costs[cols[p]]
+        bb, pp = np.nonzero(near.T)  # by chain, then item
+        for b, p, j in zip(bb.tolist(), pp.tolist(), cols[pp].tolist()):
+            after, before = gain(tots[b], nz[j])
             if b in picks:
                 _, pa, pb, pc = picks[b]
                 if fair:
-                    if not _denser_fair(after, before, cj, pa, pb, pc):
+                    if not _denser_fair(after, before, costs[j], pa, pb, pc):
                         continue
-                elif (after - before) * pc <= (pa - pb) * cj:
+                elif (after - before) * pc <= (pa - pb) * costs[j]:
                     continue
-            picks[b] = (p, after, before, cj)
+            picks[b] = (p, after, before, costs[j])
         return [picks[b][0] for b in range(near.shape[1])]
 
     def advance(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
@@ -846,7 +894,6 @@ def solve_greedy(
         while True:
             ok = ~chosen[cols] & (cc <= budget - cost)
             # the chain-by-nonzero arrays, the largest, are updated in place
-            g = None
             if fair:
                 t = totals[er]
                 t += 1
@@ -874,15 +921,11 @@ def solve_greedy(
                 live = ~done
                 totals, cost, chosen = totals[:, live], cost[live], chosen[:, live]
                 key, top = key[:, live], top[live]
-                if g is not None:
-                    g = g[:, live]
             near = key >= top - 1e-9 * (1 + np.abs(top))
             pick = key.argmax(axis=0)
             tied = np.flatnonzero(near.sum(axis=0) > 1)
             if len(tied):
-                pick[tied] = exact_picks(
-                    totals[:, tied], near[:, tied], None if g is None else g[:, tied]
-                )
+                pick[tied] = exact_picks(totals[:, tied], near[:, tied])
             items = cols[pick]
             totals = join(totals, util[:, items])
             cost = cost + c[items]

@@ -110,6 +110,21 @@ def test_generator_inputs_of_the_wrong_type_are_refused(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    (
+        (lambda: from_dominating_set(((0, 1),), 1), "graph must be a SourceGraph"),
+        (lambda: from_multicolored_clique(((0, 1),), 2), "graph must be a SourceGraph"),
+        (lambda: from_x3c([[0, 1, 2]] * 3), "system must be a SetSystem"),
+    ),
+    ids=("dominating-set-tuple", "clique-tuple", "x3c-list"),
+)
+def test_generator_source_objects_of_the_wrong_type_are_refused(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # knapsack
 

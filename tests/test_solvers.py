@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
+    Instance,
     Objective,
     SetSystem,
     SolveOptions,
@@ -34,6 +36,7 @@ from knapvote import (
     solve_ib_dp,
     solve_ordered_diverse_dp,
 )
+from knapvote.solvers import _denser_fair
 
 from conftest import (
     grouped_instance,
@@ -216,6 +219,15 @@ def test_ordered_dp_two_blocks():
     assert sol1.value.score == 3
 
 
+def test_ordered_dp_tie_takes_the_lowest_source_then_the_lowest_item():
+    # (0, 1) and (1, 2) both reach value 8 at cost 4 along this order;
+    # preferring the lowest item over the lowest source would return (0, 1)
+    inst = make_instance([[2, 1, 2], [1, 3, 3], [1, 3, 2]], costs=[2, 2, 2], budget=4)
+    sol = solve_ordered_diverse_dp(inst, (2, 1, 0))
+    assert sol.knapsack == (1, 2)
+    assert (sol.value.score, sol.total_cost) == (8, 4)
+
+
 def test_ordered_dp_rejects_non_integer_order():
     inst = make_instance([[3, 0], [0, 3]], budget=2)
     with pytest.raises(ValidationError, match="permutation"):
@@ -332,6 +344,23 @@ def test_fpt_matches_brute(rng):
 def test_fpt_tie_breaks_lexicographically():
     inst = make_instance([[3, 3]], budget=1)
     assert solve_diverse_fpt(inst).knapsack == (0,)
+
+
+@pytest.mark.parametrize(
+    "utilities, costs, budget, knapsack",
+    (
+        ([[0, 1, 3], [3, 3, 2], [1, 3, 3]], [1, 1, 3], 5, (1, 2)),
+        ([[1, 0, 0], [0, 1, 1], [1, 0, 1]], [4, 2, 2], 14, (0, 2)),
+    ),
+    ids=("cost-axis", "value-axis"),
+)
+def test_fpt_tie_takes_the_lowest_source_then_the_lowest_item(
+    utilities, costs, budget, knapsack
+):
+    # two knapsacks tie in value and cost; preferring the lowest item over
+    # the lowest source set would return the other one
+    inst = make_instance(utilities, costs=costs, budget=budget)
+    assert solve_diverse_fpt(inst).knapsack == knapsack
 
 
 def test_fpt_guardrail():
@@ -669,6 +698,49 @@ def test_fair_greedy_exact_tie_at_huge_unequal_costs_finishes():
     sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
     assert time.perf_counter() - start < 2
     assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (1, 3, 4)
+
+
+def test_fair_greedy_exact_tie_at_coprime_huge_costs_finishes():
+    # after the seed c, items a and b each double one voter's total: the
+    # densities 2^(1 / 2^62) and 2^(1 / (2^62 + 1)) are within the float
+    # margin, and the costs are coprime
+    inst = Instance(
+        ("a", "b", "c"),
+        (2**62, 2**62 + 1, 1),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        2**62 + 2,
+    )
+    start = time.perf_counter()
+    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    assert time.perf_counter() - start < 2
+    assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 20).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(("tie", "above", "below", "free")),
+    st.tuples(st.integers(2, 20), st.integers(1, 20)),
+)
+def test_fair_density_test_agrees_with_the_power_test(base, e1, e2, g, k, mode, other):
+    # (after / before)^(1 / cost) against (pa / pb)^(1 / pc); a tie puts both
+    # ratios on powers of one base s, so that both densities are s^(1 / g)
+    s = Fraction(*base)
+    r1, r2 = s**e1, s**e2
+    cost, pc = e1 * g, e2 * g
+    if mode in ("above", "below"):
+        nudge = 1 if mode == "above" else -1
+        r2 = Fraction(r2.numerator * 10**12 + nudge, r2.denominator * 10**12)
+    elif mode == "free":
+        r2 = Fraction(max(other), min(other))
+    after, before = r1.numerator * k, r1.denominator * k
+    pa, pb = r2.numerator, r2.denominator
+    expected = after**pc * pb**cost > pa**cost * before**pc
+    assert _denser_fair(after, before, cost, pa, pb, pc) is expected
 
 
 # dispatch
