@@ -6,12 +6,14 @@ minimum total cost. Resource caps live in :class:`SolveOptions`; a computation
 that would exceed them raises :class:`~knapvote.core.GuardrailError` before
 doing the work.
 
-The ib, single-peaked and fixed-order routes share one value table: entry x
-of a row is the least cost reaching value at least x, "nothing chosen yet" is
-the row [0, inf, ...], and :func:`_relax` is the only step that updates a row.
-The ib table walks back through one mask per item of the entries that item
-improved; the other two and the voter-subset DP re-derive every choice from
-the stored rows through :func:`_step_back`.
+The ib, single-peaked and fixed-order routes and the voter-subset DP are
+knapsack tables on the shorter of two axes, which :func:`_axis` picks:
+over cost, entry p of a row is the most value within cost p, when
+min(B, Σcosts) <= U for U the total utility; over value, entry x is the
+least cost reaching value at least x, otherwise. :func:`_relax` is the only
+step that updates a row of the first three. The ib table walks back through
+one mask per item of the entries that item improved; the other three
+re-derive every choice from the stored rows through :func:`_step_back`.
 
 Solver map; ``_ROUTES`` holds the routes, by their ``--method`` names, in the
 order :func:`solve_auto` tries them: ib-dp, sp-dp, sc-dp, fpt, xp-dp,
@@ -19,7 +21,7 @@ bruteforce, then greedy, the inexact fallback.
 
 - :func:`brute_force` - any objective, exact branch and bound over subsets,
   capped by item count.
-- :func:`solve_ib_dp` - additive objective, table over achieved value.
+- :func:`solve_ib_dp` - additive objective, knapsack table on the shorter axis.
 - :func:`solve_diverse_sp_dp` - diverse objective on a single-peaked profile.
 - :func:`solve_ordered_diverse_dp` - diverse objective relative to a fixed
   voter order (exact for single-crossing orders, a lower bound otherwise).
@@ -293,21 +295,48 @@ def brute_force(
 # value tables
 
 
-def _empty_row(instance: Instance, width: int) -> tuple[np.ndarray, int, int]:
-    """The value-table row of the empty knapsack, the sentinel, and the limit.
+def _axis(instance: Instance, span: Optional[int] = None) -> tuple[bool, int, int]:
+    """Whether a table runs over cost, its width, and the limit.
 
-    Entry x of a value-table row is the least cost of a knapsack whose value
+    The limit is the budget clamped to Σcosts. A table runs over cost, with
+    columns 0..span (the limit unless given), when that axis is no longer
+    than the value axis 0..U, for U the total utility, and over value
+    otherwise; the same knapsacks come out of either (Kellerer, Pferschy &
+    Pisinger, *Knapsack Problems*, 2004, ch. 2). Nothing is allocated, so a
+    guardrail can count the width first.
+    """
+    limit = min(instance.budget, sum(instance.costs))
+    span = limit if span is None else span
+    ubound = instance.total_utility()
+    return (True, span + 1, limit) if span <= ubound else (False, ubound + 1, limit)
+
+
+def _empty_row(
+    instance: Instance, span: Optional[int] = None
+) -> tuple[np.ndarray, int, int, bool]:
+    """The row of the empty knapsack on the axis :func:`_axis` picks, the
+    entry of no knapsack, the limit, and whether the row runs over cost.
+
+    Entry p of a cost row is the most value of a knapsack costing at most p.
+    The empty knapsack reaches 0 at every p, and no knapsack is -(U + 1),
+    which stays below 0 with any one knapsack's gains added. Cost rows hold
+    int64 unless a value could pass 2^62, and Python ints (``object``) then.
+
+    Entry x of a value row is the least cost of a knapsack whose value
     reaches at least x. The empty knapsack costs 0 at x = 0 and reaches no
     x > 0, which rows mark with the sentinel Σcosts + 1, above every real
-    cost. Rows hold int64 unless a cost added to the sentinel could pass 2^62,
-    and Python ints (``object``) then. The limit is the budget clamped to
-    Σcosts, so that the sentinel never counts as affordable.
+    cost, and so above the limit. Value rows hold int64 unless a cost added
+    to the sentinel could pass 2^62, and Python ints then.
     """
+    by_cost, width, limit = _axis(instance, span)
+    ubound = instance.total_utility()
+    if by_cost:
+        return np.zeros(width, dtype=_int_dtype(ubound)), -(ubound + 1), limit, True
     costs = instance.costs
     inf = sum(costs) + 1
     row = np.full(width, inf, dtype=_int_dtype(inf + max(costs)))
     row[0] = 0
-    return row, inf, min(instance.budget, inf - 1)
+    return row, inf, limit, False
 
 
 def _int_dtype(bound: int) -> type:
@@ -315,33 +344,74 @@ def _int_dtype(bound: int) -> type:
     return np.int64 if bound < 2**62 else object
 
 
-def _relax(row: np.ndarray, src: np.ndarray, shift: int, add: int) -> None:
-    """``row[x] = min(row[x], src[max(x - shift, 0)] + add)`` for every x.
+def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None:
+    """Extend the knapsacks of ``src`` by a choice worth ``value`` at ``cost``
+    into ``row``, keeping the better entry at each column.
 
-    The one update step of every value table: extend the knapsacks of ``src``
-    by a choice worth ``shift`` value at ``add`` cost. ``src`` may be ``row``
-    itself; every read sees it as it was before the call. ``row`` may also be
-    a stack of rows, each relaxed by the same ``src``.
+    The one update step of the ib, single-peaked and fixed-order tables. On
+    a value axis it is
+    ``row[x] = min(row[x], src[max(x - value, 0)] + cost)``: a knapsack that
+    reaches past x also reaches x. On a cost axis (``by_cost``) it is
+    ``row[p] = max(row[p], src[p - cost] + value)`` for p >= cost; below the
+    cost there is no source, and the entry stays. ``src`` may be ``row``
+    itself; every read sees it as it was before the call.
+
+    Either may also be a stack of rows, with ``value`` and ``cost`` one
+    choice for all or a column of one per source row. A stacked ``row``
+    takes its own source row, or the one ``src``; a single ``row`` takes the
+    best of a stacked ``src``. A stack of rows up to 512 columns wide is
+    relaxed in one pass, which saves a call per source row; a wider one a
+    source row at a time, which past that width is as fast or faster (a
+    one-pass gather costs more per entry than a slice) and copies no more
+    than a row.
     """
     width = row.shape[-1]
+    if src.ndim > 1 and width > 512:
+        k = len(src)
+        values, costs = (np.broadcast_to(v, (k, 1))[:, 0] for v in (value, cost))
+        for r in range(k):
+            one = row[r] if row.ndim > 1 else row
+            _relax(one, src[r], values[r], costs[r], by_cost)
+        return
+    if by_cost:
+        shift, add, better = cost, value, np.maximum
+    else:
+        shift, add, better = value, cost, np.minimum
+
+    def join(cols: slice, cand: np.ndarray) -> None:
+        if cand.ndim > row.ndim:
+            cand = better.reduce(cand, axis=0)
+        better(row[..., cols], cand, out=row[..., cols])
+
+    if np.ndim(shift):
+        # a shift per source row: each gathers its own columns
+        cols = np.arange(width) - np.minimum(shift, width).astype(np.intp)
+        cand = np.take_along_axis(src, np.maximum(cols, 0), axis=-1) + add
+        join(slice(None), np.where(cols >= 0, cand, row) if by_cost else cand)
+        return
     cut = min(shift, width)
-    head = src[..., :1] + add
-    np.minimum(row[..., cut:], src[..., : width - cut] + add, out=row[..., cut:])
-    np.minimum(row[..., :cut], head, out=row[..., :cut])
+    join(slice(cut, None), src[..., : width - cut] + add)
+    if not by_cost:
+        # column 0 was written above only when cut is 0, and this is empty
+        join(slice(None, cut), src[..., :1] + add)
 
 
 def _step_back(
-    rows: Sequence[np.ndarray], x: int, target, shifts, adds, by_cost: bool = False
+    rows: Sequence[np.ndarray], x: int, target, values, costs, by_cost: bool
 ) -> tuple[int, int, int]:
     """Undo one table step that set an entry to ``target`` at x.
 
-    Choice k of source ``rows[s]`` reads column ``x - shifts[s, k]`` and adds
-    ``adds[s, k]`` (both broadcast). Below column 0, a value axis reads column
-    0, as :func:`_relax` does, and a cost axis (``by_cost``) has no source. Of
-    the (s, k) that give the target, the lowest s wins, then the lowest k: no
-    item first where source 0 is the empty row, then the lowest source, then
-    the lowest item. Returns s, k and the column of ``rows[s]`` that was read.
+    Choice k of source ``rows[s]`` is worth ``values[s, k]`` at
+    ``costs[s, k]`` (both broadcast, costs as the table holds them). On a
+    value axis it reads column ``x - values[s, k]``, or column 0 below it, as
+    :func:`_relax` does, and adds the cost; on a cost axis (``by_cost``) it
+    reads column ``x - costs[s, k]``, where below column 0 there is no
+    source, and adds the value. Of the (s, k) that give the target, the
+    lowest s wins, then the lowest k: no item first where source 0 is the
+    empty row, then the lowest source, then the lowest item. Returns s, k and
+    the column of ``rows[s]`` that was read.
     """
+    shifts, adds = (costs, values) if by_cost else (values, costs)
     cols, adds = np.broadcast_arrays(x - shifts, adds)
     fits = cols >= 0 if by_cost else True
     cols = np.maximum(cols, 0)
@@ -350,10 +420,23 @@ def _step_back(
     return int(s), int(k), int(cols[s, k])
 
 
-def _reach(row: np.ndarray, limit: int) -> int:
-    """Largest x whose entry is within the limit (0 when none is)."""
-    hits = np.flatnonzero(row <= limit)
-    return int(hits[-1]) if len(hits) else 0
+def _optimum(rows: np.ndarray, limit: int, by_cost: bool) -> tuple[int, int]:
+    """Where the walk back starts in a stack of rows that holds the empty
+    knapsack: the column of the best knapsack within the limit, and the first
+    row that holds it there.
+
+    On a cost axis the column is the least cost reaching the most value that
+    the limit affords; on a value axis it is that value. Either is 0, in the
+    empty knapsack's row, when no knapsack beats it.
+    """
+    if by_cost:
+        best = rows.max(axis=0)
+        x = int(np.argmax(best >= best[limit]))
+    else:
+        best = rows.min(axis=0)
+        hits = np.flatnonzero(best <= limit)
+        x = int(hits[-1])
+    return x, int(np.argmax(rows[:, x] == best[x]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +444,31 @@ def _reach(row: np.ndarray, limit: int) -> int:
 
 
 def solve_ib_dp(instance: Instance, options: Optional[SolveOptions] = None) -> Solution:
-    """Exact additive-objective optimum via a min-cost-per-value table.
+    """Exact additive-objective optimum via a knapsack table on the shorter axis.
 
-    The row starts as the empty row and is relaxed by each item in turn,
-    shifted by the item's summed utility at the item's cost. Only a mask of
-    the entries each item strictly improved is kept, which is enough to walk
-    back. Work and memory are m * (U + 1) for U the total utility.
+    The row starts as the empty row and is relaxed by each item in turn, worth
+    its summed utility at its cost. Only a mask of the entries each item
+    strictly improved is kept, which is enough to walk back. Work and memory
+    are m * (axis + 1), for an axis of 0..min(B, Σcosts) or 0..U, whichever is
+    shorter; the guardrail checks m * (U + 1), which bounds both.
     """
     opts = options or DEFAULT_OPTIONS
     m = instance.num_items
-    uhat = instance.total_utility()
-    _check_cells("value table", m * (uhat + 1), opts)
+    _check_cells("value table", m * (instance.total_utility() + 1), opts)
     w = [instance.column_sum(j) for j in range(m)]
-    row, _, limit = _empty_row(instance, uhat + 1)
+    costs = instance.costs
+    row, _, limit, by_cost = _empty_row(instance)
     took = []
     for j in range(m):
         before = row.copy()
-        _relax(row, before, w[j], instance.costs[j])
-        took.append(row < before)
-    x = _reach(row, limit)
+        _relax(row, before, w[j], costs[j], by_cost)
+        took.append(row != before)
+    x, _ = _optimum(row[None], limit, by_cost)
     sel = []
     for j in range(m - 1, -1, -1):
         if took[j][x]:
             sel.append(j)
-            x = max(x - w[j], 0)
+            x = max(x - (costs[j] if by_cost else w[j]), 0)
     return make_solution(instance, Objective.IB, sel, "ib-dp")
 
 
@@ -402,9 +486,11 @@ def solve_diverse_sp_dp(
     Along a single-peaked item order, adding an item to a set of items that all
     sit earlier in the order raises each voter's best utility by a quantity
     that depends only on the new item and the latest previous one, which makes
-    a last-item recurrence exact. Row p holds the knapsacks whose latest item
-    sits at position p: the empty row and every earlier row, each relaxed by
-    that item. The work is m(m+1)/2 * (U + 1), checked before it starts.
+    a last-item recurrence exact. Row p + 1 holds the knapsacks whose latest
+    item sits at position p: the empty row 0 and every earlier row, each
+    relaxed by that item. The work is m(m+1)/2 * (axis + 1) on the shorter
+    axis (see :func:`_axis`); the guardrail checks m(m+1)/2 * (U + 1),
+    which bounds it, before the work starts.
     """
     opts = options or DEFAULT_OPTIONS
     order = _check_permutation(order, instance.num_items, "items")
@@ -415,29 +501,64 @@ def solve_diverse_sp_dp(
     _check_cells("single-peaked table", m * (m + 1) // 2 * (ubound + 1), opts)
     # cols[s]: each voter's utility for the latest item of source s, where
     # source 0 is the empty knapsack and source p + 1 ends at position p
-    cols = np.zeros((m + 1, instance.num_voters), dtype=np.int64)
-    cols[1:] = np.array(instance.utilities, dtype=np.int64).T[list(order)]
+    vdt = _int_dtype(ubound)
+    cols = np.zeros((m + 1, instance.num_voters), dtype=vdt)
+    cols[1:] = np.array(instance.utilities, dtype=vdt).T[list(order)]
     # gains[p][s]: diverse value the item at position p adds on top of source s
     gains = [np.maximum(cols[p + 1] - cols[: p + 1], 0).sum(axis=1) for p in range(m)]
     costs = [instance.costs[j] for j in order]
-    empty, inf, limit = _empty_row(instance, ubound + 1)
-    table = np.full((m, ubound + 1), inf, dtype=empty.dtype)
-    rows = [empty, *table]
+    empty, none, limit, by_cost = _empty_row(instance)
+    table = np.full((m + 1, len(empty)), none, dtype=empty.dtype)
+    table[0] = empty
     for p in range(m):
-        for s in range(p + 1):
-            _relax(table[p], rows[s], int(gains[p][s]), costs[p])
-    x = _reach(table.min(axis=0), limit)
-    s = int(np.argmin(table[:, x])) + 1 if x else 0  # the cheapest, then earliest
+        _relax(table[p + 1], table[: p + 1], gains[p][:, None], costs[p], by_cost)
+    x, s = _optimum(table, limit, by_cost)  # the cheapest, then earliest
     chosen = []
     while s:
         p = s - 1
         chosen.append(order[p])
-        s, _, x = _step_back(rows, x, rows[s][x], gains[p][:, None], costs[p])
+        gain = gains[p][:, None]
+        s, _, x = _step_back(table, x, table[s][x], gain, costs[p], by_cost)
     return make_solution(instance, Objective.DIVERSE, chosen, "sp-dp")
 
 
 # ---------------------------------------------------------------------------
 # diverse objective, fixed voter order
+
+
+def _order_rows(
+    instance: Instance,
+    voter_order: Sequence[int],
+    opts: SolveOptions,
+    span: Optional[int] = None,
+) -> tuple[np.ndarray, int, bool]:
+    """The fixed-order table on the shorter axis, with the empty row as row 0
+    and the first t ordered voters in row t; the limit; and the axis, as
+    :func:`_axis` picks it for ``span``.
+
+    Running row a holds the finished rows (the empty row, earlier rows) with
+    a segment of item a open after them, plus a's utility since. Row t is the
+    best running row plus its item's cost, and then joins every running row.
+    The work is n * m * (axis + 1); the guardrail checks n * m * (U + 1),
+    which bounds it.
+    """
+    voter_order = _check_permutation(voter_order, instance.num_voters, "voters")
+    n = instance.num_voters
+    m = instance.num_items
+    _check_cells("order table", n * (instance.total_utility() + 1) * m, opts)
+    empty, none, limit, by_cost = _empty_row(instance, span)
+    rows = np.full((n + 1, len(empty)), none, dtype=empty.dtype)
+    rows[0] = empty
+    running = np.tile(empty, (m, 1))
+    util = np.array(instance.utilities, dtype=_int_dtype(instance.total_utility()))
+    costs = np.array(instance.costs, dtype=_int_dtype(max(instance.costs)))[:, None]
+    for t, v in enumerate(voter_order, 1):
+        # rows never decrease along the axis, so a value-axis row relaxed by
+        # itself is shifted, and a cost-axis one is raised
+        _relax(running, running, util[v][:, None], 0, by_cost)
+        _relax(rows[t], running, 0, costs, by_cost)
+        _relax(running, rows[t], 0, 0, by_cost)
+    return rows, limit, by_cost
 
 
 def ordered_diverse_table(
@@ -450,31 +571,24 @@ def ordered_diverse_table(
     Entry [t][x] is the cheapest way to split the first t+1 voters (in the
     given order) into consecutive segments, pick one item per segment, and
     collect at least x total utility, each voter counting their segment's item.
-    The last row lower-bounds the budgeted diverse optimum for every order and
-    matches it when the order is single-crossing.
+    An x that no split reaches within Σcosts reads Σcosts + 1. The last row
+    lower-bounds the budgeted diverse optimum for every order and matches it
+    when the order is single-crossing.
 
-    Running row a holds the finished rows (the empty row, earlier rows) with
-    a segment of item a open after them, shifted by a's utility since. Row t
-    is the least running row plus its item's cost, and then joins every
-    running row. The work is n * m * (U + 1).
+    The table has U + 1 columns, for U the total utility. When Σcosts <= U,
+    it is built over the Σcosts + 1 costs, holding the most value within
+    each cost, and each row is turned into the value axis by a binary search.
+    The work is n * m * (min(Σcosts, U) + 1).
     """
     opts = options or DEFAULT_OPTIONS
-    voter_order = _check_permutation(voter_order, instance.num_voters, "voters")
-    n = instance.num_voters
-    m = instance.num_items
-    ubound = instance.total_utility()
-    _check_cells("order table", n * (ubound + 1) * m, opts)
-    empty, inf, _ = _empty_row(instance, ubound + 1)
-    table = np.full((n, ubound + 1), inf, dtype=empty.dtype)
-    running = np.tile(empty, (m, 1))
-    for t, v in enumerate(voter_order):
-        row = table[t]
-        for a, u in enumerate(instance.utilities[v]):
-            # rows never decrease along x, so relaxing one by itself shifts it
-            _relax(running[a], running[a], u, 0)
-            _relax(row, running[a], 0, instance.costs[a])
-        _relax(running, row, 0, 0)
-    return table
+    inf = sum(instance.costs) + 1
+    rows, _, by_cost = _order_rows(instance, voter_order, opts, inf - 1)
+    table = rows[1:]
+    if by_cost:
+        # the least cost whose most value reaches x, or Σcosts + 1
+        xs = np.arange(instance.total_utility() + 1)
+        return np.array([np.searchsorted(row, xs) for row in table])
+    return np.minimum(table, inf)
 
 
 def _solve_with_voter_order(
@@ -483,19 +597,20 @@ def _solve_with_voter_order(
     method: str,
     opts: SolveOptions,
 ) -> Solution:
-    table = ordered_diverse_table(instance, voter_order, opts)
-    empty, _, limit = _empty_row(instance, table.shape[1])
-    x = _reach(table[-1], limit)
-    # source s of the walk is the empty row (s = 0) or table row s - 1, and
-    # prefix[s][a] is item a's utility over the first s ordered voters
+    rows, limit, by_cost = _order_rows(instance, voter_order, opts)
+    n = len(rows) - 1
+    x, _ = _optimum(rows[::n], limit, by_cost)  # the empty row and row n, a view
+    # source s of the walk is the empty row (s = 0) or the first s voters,
+    # and prefix[s][a] is item a's utility over the first s ordered voters
     ordered = [instance.utilities[v] for v in voter_order]
-    prefix = np.cumsum([[0] * instance.num_items, *ordered], axis=0)
-    rows = [empty, *table]
-    adds = np.array(instance.costs, dtype=empty.dtype)
+    vdt = _int_dtype(instance.total_utility())
+    prefix = np.cumsum([[0] * instance.num_items, *ordered], axis=0, dtype=vdt)
+    costs = np.array(instance.costs, dtype=_int_dtype(max(instance.costs)))
     items: set[int] = set()
-    s = len(table) if x else 0
+    s = n if x else 0
     while s:
-        s, a, x = _step_back(rows, x, rows[s][x], prefix[s] - prefix[:s], adds)
+        segment = prefix[s] - prefix[:s]
+        s, a, x = _step_back(rows, x, rows[s][x], segment, costs, by_cost)
         items.add(a)
     return make_solution(instance, Objective.DIVERSE, items, method)
 
@@ -536,10 +651,11 @@ def solve_diverse_fpt(
     every voter in T. An item chosen for two blocks is paid twice, which can
     only overcount cost, so the optimal value and the least cost at that value
     are both exact. Each row of the table runs over cost (best value within
-    that cost) or over value (least cost reaching it), whichever axis is
-    shorter; the work is 3^k * m * (axis + 1). The walk back re-derives each
-    block from the stored rows; on equal value and cost, no item wins over an
-    item, then the lowest source set, then the lowest item index.
+    that cost) or over value (least cost reaching it), on the axis
+    :func:`_axis` picks; the work is 3^k * m * (axis + 1). The walk back
+    re-derives each block from the stored rows; on equal value and cost, no
+    item wins over an item, then the lowest source set, then the lowest item
+    index.
     """
     opts = options or DEFAULT_OPTIONS
     n = instance.num_voters
@@ -551,38 +667,34 @@ def solve_diverse_fpt(
     k = len(rows)
     m = instance.num_items
     costs = instance.costs
-    _, _, afford = _empty_row(instance, 1)
-    ubound = instance.total_utility()
-    by_cost = afford <= ubound
-    width = (afford if by_cost else ubound) + 1
+    by_cost, width, _ = _axis(instance)
     _check_cells(f"subset DP over {k} distinct voter rows", 3**k * m * width, opts)
+    empty, none, limit, _ = _empty_row(instance)
     full = (1 << k) - 1
     # val[T][a]: item a's utility summed over every voter of the rows in T
-    vdt = _int_dtype(ubound)
+    vdt = _int_dtype(instance.total_utility())
     val = np.zeros((full + 1, m), dtype=vdt)
     for t in range(1, full + 1):
         r = (t & -t).bit_length() - 1
         val[t] = val[t & (t - 1)] + mults[r] * np.array(rows[r], dtype=vdt)
     # table[S][p]: by cost, the best value covering S within cost p; by value,
     # minus the least cost covering S with value at least p (both maximize)
+    table = np.tile(empty if by_cost else -empty, (full + 1, 1))
     axis = np.arange(width)
     if by_cost:
-        table = np.zeros((full + 1, width), dtype=vdt)
         shift = np.array([min(c, width) for c in costs])
         src = axis - shift[:, None]
         fits = src >= 0
         src[~fits] = 0
-        unfit = -(ubound + 1)
     else:
-        empty, _, _ = _empty_row(instance, width)
-        table = np.tile(-empty, (full + 1, 1))
         neg_costs = -np.array(costs, dtype=empty.dtype)[:, None]
+    step = shift if by_cost else neg_costs.T  # each item's cost, as stored
     for s in range(full):
         if s and not s & 1:
             continue  # sorted by lowest row, an optimal split covers row 0 first
         row = table[s]
         if by_cost:
-            shifted = np.where(fits, row[src], unfit)
+            shifted = np.where(fits, row[src], none)
         free = full & ~s
         low = free & -free
         rest = free ^ low
@@ -597,19 +709,15 @@ def solve_diverse_fpt(
             if not sub:
                 break
             sub = (sub - 1) & rest
-    last = table[full]
-    if by_cost:
-        p = int(np.argmax(last == last[-1]))  # least cost reaching the optimum
-    else:
-        p = int(np.nonzero(last >= -afford)[0].max())
+    last = table[full][None]
+    p, _ = _optimum(last if by_cost else -last, limit, by_cost)
     items: set[int] = set()
     t = full
     while table[t][p] != table[0][p]:  # every set starts as row 0, never written
         # t's sources in the loop's order: those whose lowest free row is in t
         srcs = [s for s in (0, *range(1, t, 2)) if s & t == s and ~s & (s + 1) & t]
         blocks = val[t ^ np.array(srcs)]
-        shifts, adds = (shift, blocks) if by_cost else (blocks, neg_costs.T)
-        i, a, p = _step_back(table[srcs], p, table[t][p], shifts, adds, by_cost)
+        i, a, p = _step_back(table[srcs], p, table[t][p], blocks, step, by_cost)
         items.add(a)
         t = srcs[i]
     return make_solution(instance, Objective.DIVERSE, sorted(items), "fpt")

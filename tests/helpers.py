@@ -188,6 +188,38 @@ def best_ordered_subset(instance: Instance, voter_order: Sequence[int]):
     return -best[0], best[1], best[2]
 
 
+def ordered_table_by_enumeration(
+    instance: Instance, voter_order: Sequence[int]
+) -> list[list[int]]:
+    """The fixed-order table by enumeration: entry [t][x] is the least cost of
+    splitting the first t+1 ordered voters into consecutive segments, one
+    item each (an item may serve several segments and is paid for each),
+    whose summed utility reaches at least x, or Σcosts + 1 when no split
+    within Σcosts does."""
+    inf = sum(instance.costs) + 1
+    width = instance.total_utility() + 1
+    table = []
+    for t in range(len(voter_order)):
+        row = [inf] * width
+        for r in range(t + 1):
+            for cuts in itertools.combinations(range(1, t + 1), r):
+                bounds = (0, *cuts, t + 1)
+                segments = list(zip(bounds, bounds[1:]))
+                for items in itertools.product(
+                    range(instance.num_items), repeat=len(segments)
+                ):
+                    value = sum(
+                        instance.utilities[voter_order[p]][a]
+                        for (lo, hi), a in zip(segments, items)
+                        for p in range(lo, hi)
+                    )
+                    cost = sum(instance.costs[a] for a in items)
+                    for x in range(value + 1):
+                        row[x] = min(row[x], cost)
+        table.append(row)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # decision oracles for the source problems behind the reduction generators
 

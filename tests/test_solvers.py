@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from knapvote import (
     solve_ib_dp,
     solve_ordered_diverse_dp,
 )
-from knapvote.solvers import _denser_fair
+from knapvote.solvers import _axis, _denser_fair
 
 from conftest import (
     grouped_instance,
@@ -51,6 +52,7 @@ from helpers import (
     best_subset,
     connected_optimum,
     greedy_by_definition,
+    ordered_table_by_enumeration,
     subset_value,
 )
 
@@ -875,3 +877,186 @@ def test_every_solution_reevaluates_consistently(rng):
             sol = solve_auto(inst, kind)
             assert sol.value.score == subset_value(inst, label, sol.knapsack)
             assert sol.total_cost == sum(inst.costs[j] for j in sol.knapsack)
+
+
+# the value tables on either axis: ib-dp, sp-dp and the fixed-order table
+# run over cost when min(B, Σcosts) <= U and over value otherwise, so
+# utilities and costs of 10^6 force each side; a wide cell cap lets 2^70
+# utilities through the up-front estimate, which counts the value axis
+
+WIDE = SolveOptions(max_dp_cells=2**80)
+
+
+@st.composite
+def axis_instances(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+
+    # each instance draws from a part of each set, so that often no utility,
+    # or no cost, is 10^6
+    def part(values):
+        return st.sampled_from(sorted(draw(st.sets(st.sampled_from(values), min_size=1))))
+
+    utility, cost = part((1, 9, 10**6)), part((1, 20, 10**6))
+    row = st.lists(utility, min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    costs = draw(st.lists(cost, min_size=m, max_size=m))
+    total = sum(costs)
+    # the tables span the shorter axis; keep it within 10^4 columns
+    top = total if sum(map(sum, rows)) < 10**4 else min(total, 10**4)
+    budget = draw(st.one_of(st.integers(0, top), st.just(top)))
+    order = draw(st.permutations(range(n)))
+    return make_instance(rows, costs=costs, budget=budget), tuple(order)
+
+
+def _axis_case(rows, costs, budget):
+    return make_instance(rows, costs=costs, budget=budget), tuple(range(len(rows)))
+
+
+# the examples: budget 0; all-zero utilities on each axis; duplicate voters
+# on each axis; utilities of 2^70 on the cost axis and costs past 2^62 on the
+# value axis (Python-int rows); and stacks wide enough that the tables relax
+# them a row at a time, on each axis
+@settings(max_examples=200, deadline=None)
+@given(axis_instances())
+@example(_axis_case([[9, 1, 10**6], [1, 9, 10**6]], [1, 20, 1], 0))
+@example(_axis_case([[0, 0, 0], [0, 0, 0]], [1, 20, 10**6], 0))
+@example(_axis_case([[0, 0, 0], [0, 0, 0]], [1, 20, 10**6], 10**6))
+@example(_axis_case([[9, 1, 1], [9, 1, 1], [1, 1, 9]], [20, 1, 1], 21))
+@example(_axis_case([[1, 10**6], [1, 10**6], [10**6, 1]], [20, 1], 20))
+@example(_axis_case([[1, 9], [1, 9], [9, 1]], [20, 10**6], 10**6 + 20))
+@example(_axis_case([[2**70, 1, 2**70 + 1], [1, 2**70, 9]], [1, 20, 20], 21))
+@example(_axis_case([[2**70, 9], [9, 2**70], [2**70, 2**70]], [1, 1], 1))
+@example(_axis_case([[9, 1, 1], [1, 9, 1]], [2**62 + 1, 2**62, 1], 2**63))
+@example(_axis_case([[9, 1], [1, 9], [9, 9]], [2**63, 2**63 + 1], 2**64 + 1))
+@example(_axis_case([[10**6] * 7], [1, 20, 10**6, 1, 20, 10**6, 1], 10**4))
+@example(_axis_case([[9, 10**3, 1, 10**3, 9, 10**3, 1], [10**3] * 7], [10**6] * 7, 2 * 10**6))
+def test_value_tables_agree_with_brute_force_on_either_axis(case):
+    inst, order = case
+    ref = brute_force(inst, Objective.DIVERSE)
+    _assert_agrees(solve_ib_dp(inst, WIDE), inst, Objective.IB)
+    sp_order = recognize_single_peaked(inst)
+    if sp_order is not None:
+        sol = solve_diverse_sp_dp(inst, sp_order, WIDE)
+        assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
+    if recognize_single_crossing(inst) is not None:
+        sol = solve_diverse_sc(inst, WIDE)
+        assert (sol.value.score, sol.total_cost) == (ref.value.score, ref.total_cost)
+    sol = solve_ordered_diverse_dp(inst, order, WIDE)
+    assert sol.value.score <= ref.value.score
+    assert sol.total_cost <= inst.budget
+
+
+def test_ordered_table_matches_enumeration_on_either_axis(rng):
+    # the public table keeps its value-axis contract whichever axis builds it;
+    # the first two are wide enough that the table relaxes a row at a time
+    for rows, costs in (
+        ([[6000, 1, 3000, 9000], [2, 7000, 4000, 5000]], [9000, 8000, 10**4, 9500]),
+        ([[9000, 10**4, 1, 9500], [8000, 2, 10**4, 9000]], [5000, 6000, 4000, 4500]),
+    ):
+        inst = make_instance(rows, costs=costs, budget=0)
+        for order in ((0, 1), (1, 0)):
+            assert ordered_diverse_table(inst, order).tolist() == (
+                ordered_table_by_enumeration(inst, order)
+            )
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        by_cost = rng.random() < 0.5
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        top, lo, hi = (9, 1, 3) if by_cost else (3, 3, 12)
+        inst = make_instance(
+            [[rng.randint(0, top) for _ in range(m)] for _ in range(n)],
+            costs=[rng.randint(lo, hi) for _ in range(m)],
+            budget=rng.randint(0, 12),
+        )
+        order = list(range(n))
+        rng.shuffle(order)
+        seen[sum(inst.costs) <= inst.total_utility()] += 1
+        table = ordered_diverse_table(inst, order)
+        assert table.shape == (n, inst.total_utility() + 1)
+        assert table.tolist() == ordered_table_by_enumeration(inst, order)
+
+
+# the table routes finish fast on numbers near their limits, each on the
+# shorter axis: utilities summing near 10^7, just under each guardrail's
+# m * (U + 1), m(m+1)/2 * (U + 1) or n * m * (U + 1) cells, with costs 1-5;
+# and costs near 2^62 (Python-int rows) with utilities 0-9. Each route's
+# profile comes with the factor that takes its utilities near 10^7.
+
+HUGE_ROUTES = {
+    "ib-dp": (
+        Objective.IB,
+        solve_ib_dp,
+        [[4, 9, 1, 6, 2, 8, 3, 5], [7, 2, 9, 1, 5, 3, 8, 6], [1, 5, 2, 9, 7, 4, 6, 3]],
+        86_000,
+    ),
+    "sp-dp": (
+        Objective.DIVERSE,
+        lambda inst: solve_diverse_sp_dp(inst, (0, 1, 2)),
+        [[3, 4, 1], [1, 3, 2]],
+        10**6,
+    ),
+    "sc-dp": (Objective.DIVERSE, solve_diverse_sc, [[8, 6, 2, 1], [1, 2, 6, 4]], 4 * 10**5),
+}
+
+
+@pytest.mark.parametrize("shape", ("utilities", "costs"))
+@pytest.mark.parametrize("route", HUGE_ROUTES)
+def test_table_routes_finish_fast_on_huge_numbers(route, shape):
+    kind, solve, rows, factor = HUGE_ROUTES[route]
+    rng = random.Random(route)
+    m = len(rows[0])
+    if shape == "utilities":
+        rows = [[u * factor for u in row] for row in rows]
+        costs, budget = [rng.randint(1, 5) for _ in range(m)], 6
+    else:
+        costs, budget = [rng.randint(2**62 - 9, 2**62 + 9) for _ in range(m)], 2**63
+    inst = make_instance(rows, costs=costs, budget=budget)
+    assert _axis(inst)[0] is (shape == "utilities")  # the shorter axis
+    start = time.perf_counter()
+    sol = solve(inst)
+    assert time.perf_counter() - start < 2
+    assert sol.method == route
+    _assert_agrees(sol, inst, kind)
+
+
+def test_fpt_counts_its_axis_before_building_a_row():
+    # both axes past 2^62 columns: fpt trips its guardrail, where building
+    # the empty row first would raise numpy's ValueError, and auto goes on
+    inst = make_instance(
+        [[2**70, 1, 2**71], [1, 2**70, 3]], costs=[2**63, 2**63 + 1, 2**62], budget=2**64
+    )
+    with pytest.raises(GuardrailError, match="cells of work"):
+        solve_diverse_fpt(inst)
+    sol = solve_auto(inst, Objective.DIVERSE)
+    assert sol.method == "bruteforce"
+    _assert_agrees(sol, inst, Objective.DIVERSE)
+
+
+@pytest.mark.parametrize("by_cost", (True, False))
+def test_wide_tables_relax_a_row_at_a_time(by_cost):
+    # past 512 columns a stack of rows is relaxed one source row at a time,
+    # so sp-dp and the fixed-order table peak at their own rows plus a few,
+    # where one pass over 8 stacked rows would copy the stack several times
+    m, n, size = 8, 2, 2**14
+    if by_cost:
+        rows = [[size * (m - abs(j - v)) for j in range(m)] for v in range(n)]
+        costs, budget = [size // 4 + j for j in range(m)], size
+    else:
+        rows = [[size // (m * n) * (m - abs(j - v)) // m for j in range(m)] for v in range(n)]
+        costs, budget = [10**9 + j for j in range(m)], 2 * 10**9
+    inst = make_instance(rows, costs=costs, budget=budget)
+    axis, width, _ = _axis(inst)
+    assert axis is by_cost and width > 512
+    row_bytes = 8 * width
+    for solve, table_rows in (
+        (lambda: solve_diverse_sp_dp(inst, tuple(range(m)), WIDE), m + 1),
+        (lambda: solve_ordered_diverse_dp(inst, tuple(range(n)), WIDE), n + 1 + m),
+    ):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (table_rows + 4) * row_bytes
