@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """An instance, order, selection, or argument violates a contract."""
@@ -131,6 +133,11 @@ def _as_tuple(value: object, label: str, problems: list[str]) -> tuple:
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_dtype(bound: int) -> type:
+    """int64 for numbers below a ``bound`` under 2^62, else Python ints."""
+    return np.int64 if bound < 2**62 else object
 
 
 def validate_instance(instance: Instance) -> list[str]:

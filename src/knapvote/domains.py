@@ -9,20 +9,30 @@ of items (a, b) the voters who weakly prefer b to a form one contiguous block.
 
 Recognition reduces both questions to the consecutive-ones property: find a
 column order making the ones in every row contiguous. That is solved with a
-PQ-tree (Booth & Lueker 1976). Each node carries the bitmask of the columns
-below it, so a row is applied by walking down to the deepest node holding all
-of its ones and restructuring only the chains of partly covered nodes below
-it. Every pass is a loop, never a recursion, so a tree as deep as the number
-of columns needs no change to the interpreter's recursion limit. The tree
-represents all valid orders; we extract a canonical one (the
-lexicographically smallest frontier) so that recognition is deterministic.
+PQ-tree (Booth & Lueker 1976). A row is an ``int`` bitmask of its columns, and
+each node carries the bitmask of the columns below it, so a row is applied by
+walking down to the deepest node holding all of its ones and restructuring
+only the chains of partly covered nodes below it. Every pass is a loop, never
+a recursion, so a tree as deep as the number of columns needs no change to
+the interpreter's recursion limit. The tree represents all valid orders; we
+extract a canonical one (the lexicographically smallest frontier) so that
+recognition is deterministic.
+
+The recognizers build their rows as bitmasks directly: single-peaked as the
+nested upper level sets of each voter, single-crossing as the weak-preference
+sets of one numpy comparison, packed along the voter axis. Each drops
+duplicates before the tree sees them. :func:`c1p_order` checks 0/1 rows given
+from outside and hands them, as bitmasks, to the same core,
+:func:`_c1p_masks`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .core import GuardrailError, Instance, ValidationError, _is_int
+import numpy as np
+
+from .core import GuardrailError, Instance, ValidationError, _int_dtype, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +162,7 @@ def _apply_row(root: _Node, full: int) -> None:
     node.children = out
 
 
-def _frontier(root: _Node) -> tuple[int, ...]:
+def _frontier(root: _Node, num_cols: int) -> tuple[int, ...]:
     # Preorder, with each node's children pushed left to right, read backwards
     # lists every subtree whole and after the subtrees of its left siblings,
     # so a node finds its children's blocks, in order, on top of the stack.
@@ -165,7 +175,7 @@ def _frontier(root: _Node) -> tuple[int, ...]:
     blocks: list[tuple[int, ...]] = []
     for node in reversed(preorder):
         if node.kind == "leaf":
-            blocks.append((node.leaves.bit_length() - 1,))
+            blocks.append((num_cols - node.leaves.bit_length(),))
             continue
         k = len(node.children)
         kids = blocks[-k:]
@@ -181,6 +191,30 @@ def _frontier(root: _Node) -> tuple[int, ...]:
     return blocks[0]
 
 
+def _c1p_masks(num_cols: int, masks: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The canonical column order for rows given as bitmasks, or None.
+
+    Column j is bit ``num_cols - 1 - j`` of a mask, so that of two rows with
+    as many ones, the one whose columns come first lexicographically is the
+    larger number. Each mask must have between 2 and ``num_cols - 1`` ones;
+    a row given twice is applied once.
+    """
+    if num_cols == 0:
+        return ()
+    # larger rows first tends to keep the tree shallow; the order among rows
+    # of one size (lexicographic by columns) makes the reduction order, and
+    # hence intermediate trees, deterministic
+    full = (1 << num_cols) - 1
+    keys = sorted({mask.bit_count() << num_cols | mask for mask in masks}, reverse=True)
+    root = _make("P", [_Node("leaf", [], 1 << (num_cols - 1 - j)) for j in range(num_cols)])
+    try:
+        for key in keys:
+            _apply_row(root, key & full)
+    except _ReduceFail:
+        return None
+    return _frontier(root, num_cols)
+
+
 def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """Find a column order making every row's ones contiguous, or None.
 
@@ -190,30 +224,19 @@ def c1p_order(num_cols: int, rows: Iterable[Sequence[int]]) -> Optional[tuple[in
     """
     if num_cols < 0:
         raise ValidationError("num_cols must be >= 0")
-    col_sets: set[frozenset[int]] = set()
+    masks = []
     for r, row in enumerate(rows):
         if len(row) != num_cols:
             raise ValidationError(f"row {r} has length {len(row)}, expected {num_cols}")
-        ones = []
+        mask = 0
         for j, v in enumerate(row):
             if v == 1:
-                ones.append(j)
+                mask |= 1 << (num_cols - 1 - j)
             elif v != 0:
                 raise ValidationError(f"row {r} has a non 0/1 entry at column {j}")
-        if 1 < len(ones) < num_cols:
-            col_sets.add(frozenset(ones))
-    if num_cols == 0:
-        return ()
-
-    root = _make("P", [_Node("leaf", [], 1 << j) for j in range(num_cols)])
-    # larger rows first tends to keep the tree shallow; sort also makes
-    # the reduction order, and hence intermediate trees, deterministic
-    try:
-        for fs in sorted(col_sets, key=lambda s: (-len(s), sorted(s))):
-            _apply_row(root, sum(1 << j for j in fs))
-    except _ReduceFail:
-        return None
-    return _frontier(root)
+        if 1 < mask.bit_count() < num_cols:
+            masks.append(mask)
+    return _c1p_masks(num_cols, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -252,48 +275,64 @@ def recognize_single_peaked(
     A row is unimodal along an order exactly when each of its upper level sets
     {items with utility >= t} is contiguous, so recognition is a
     consecutive-ones problem with one row per voter per distinct positive
-    utility value.
+    utility value. Read in falling utility order, a voter's items build those
+    sets as a nested chain of masks; ``max_rows`` counts the sets of 2 to
+    m - 1 items before duplicates are dropped.
     """
     m = instance.num_items
-    rows: list[list[int]] = []
+    bits = [1 << (m - 1 - j) for j in range(m)]
+    masks = []
     for urow in instance.utilities:
-        for t in sorted(set(u for u in urow if u > 0)):
-            row = [1 if u >= t else 0 for u in urow]
-            ones = sum(row)
-            if 1 < ones < m:
-                rows.append(row)
-                if len(rows) > max_rows:
+        falling = sorted(range(m), key=urow.__getitem__, reverse=True)
+        mask = 0
+        # the first k items are an upper level set when the next one is
+        # worth less; the set of all m items is never a constraint
+        for k, j in enumerate(falling[:-1], 1):
+            if urow[j] == 0:
+                break
+            mask |= bits[j]
+            if k > 1 and urow[falling[k]] < urow[j]:
+                masks.append(mask)
+                if len(masks) > max_rows:
                     raise GuardrailError(
                         f"single-peaked recognition needs more than {max_rows} constraint rows"
                     )
-    return c1p_order(m, rows)
+    return _c1p_masks(m, masks)
 
 
 # ---------------------------------------------------------------------------
 # single-crossing
 
 
-def _weak_preference_rows(
-    utilities: Sequence[Sequence[int]], m: int
-) -> Iterator[list[int]]:
-    """For each ordered pair (a, b) of the m items, a 0/1 row over the given
-    voter rows marking those who weakly prefer b to a."""
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                yield [1 if row[b] >= row[a] else 0 for row in utilities]
+def _weak_preference_masks(utilities: Sequence[Sequence[int]]) -> list[int]:
+    """The distinct sets, over the given voter rows, of the voters who weakly
+    prefer b to a for an ordered item pair (a, b), as bitmasks with the first
+    row at the highest bit. Sets of fewer than 2 voters or of all of them are
+    left out: they are contiguous under every order."""
+    n = len(utilities)
+    # never let numpy infer the dtype: it reads a row holding 2^63 as float64
+    cols = np.array(utilities, dtype=_int_dtype(max(map(max, utilities)))).T
+    prefers = (cols[None, :, :] >= cols[:, None, :]).reshape(-1, n)
+    sizes = prefers.sum(axis=1)
+    prefers = prefers[(sizes > 1) & (sizes < n)]
+    # eight voters to a byte, the first at the top bit; only distinct byte
+    # strings become ints
+    packed = np.packbits(prefers, axis=1)
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    rows = {buf[i : i + width] for i in range(0, len(buf), width)}
+    pad = 8 * width - n
+    return [int.from_bytes(row, "big") >> pad for row in rows]
 
 
 def verify_single_crossing(instance: Instance, order: Sequence[int]) -> bool:
     """Check that under the voter order every weak-preference set over an
     ordered item pair is one contiguous block."""
     order = _check_permutation(order, instance.num_voters, "voters")
-    ordered = [instance.utilities[i] for i in order]
-    for prefers in _weak_preference_rows(ordered, instance.num_items):
-        # the k marked voters are one block iff the k from the first are marked
-        k = sum(prefers)
-        first = prefers.index(1) if k else 0
-        if 0 in prefers[first : first + k]:
+    for mask in _weak_preference_masks([instance.utilities[i] for i in order]):
+        # one block of ones, shifted down to bit 0, is one less than a power of 2
+        mask //= mask & -mask
+        if mask & (mask + 1):
             return False
     return True
 
@@ -304,12 +343,12 @@ def recognize_single_crossing(
     """Find a voter order under which the profile is single-crossing, or None.
 
     One consecutive-ones row per ordered item pair (a, b), marking the voters
-    who weakly prefer b to a; columns are voters.
+    who weakly prefer b to a; columns are voters. ``max_rows`` counts all
+    m(m - 1) pairs, before duplicates are dropped.
     """
     m = instance.num_items
     if m * (m - 1) > max_rows:
         raise GuardrailError(
             f"single-crossing recognition needs more than {max_rows} constraint rows"
         )
-    rows = _weak_preference_rows(instance.utilities, m)
-    return c1p_order(instance.num_voters, rows)
+    return _c1p_masks(instance.num_voters, _weak_preference_masks(instance.utilities))

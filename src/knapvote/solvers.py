@@ -61,6 +61,7 @@ from .core import (
     ValidationError,
     _coerce_objective,
     _gain,
+    _int_dtype,
     _is_int,
     _score,
     evaluate,  # not called here; kept so that knapvote.solvers.evaluate resolves
@@ -337,11 +338,6 @@ def _empty_row(
     row = np.full(width, inf, dtype=_int_dtype(inf + max(costs)))
     row[0] = 0
     return row, inf, limit, False
-
-
-def _int_dtype(bound: int) -> type:
-    """int64 for numbers below a ``bound`` under 2^62, else Python ints."""
-    return np.int64 if bound < 2**62 else object
 
 
 def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None:

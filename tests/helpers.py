@@ -3,7 +3,9 @@
 Everything here recomputes expected results by direct enumeration over the
 definitions, sharing no algorithmic machinery with the package: subset
 enumeration for optima, permutation search for domain witnesses, and
-segment-partition enumeration for connected assignments.
+segment-partition enumeration for connected assignments. The one exception
+is the recognizers' reference rows, which are built cell by cell from the
+definitions and handed to the package's public ``c1p_order``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 from typing import Optional, Sequence
 
 from knapvote import Instance
+from knapvote.domains import c1p_order
 
 
 def subset_value(instance: Instance, kind: str, subset: Sequence[int]):
@@ -144,6 +147,40 @@ def sc_witness_by_search(instance: Instance) -> Optional[tuple[int, ...]]:
         if ok:
             return perm
     return None
+
+
+def sp_rows_by_definition(instance: Instance) -> list[list[int]]:
+    """Every 0/1 constraint row of single-peaked recognition, duplicates
+    kept: for each voter and each distinct positive utility t, the items
+    worth at least t, when there are 2 to m - 1 of them."""
+    m = instance.num_items
+    rows = []
+    for urow in instance.utilities:
+        for t in sorted(set(u for u in urow if u > 0)):
+            row = [1 if u >= t else 0 for u in urow]
+            if 1 < sum(row) < m:
+                rows.append(row)
+    return rows
+
+
+def sp_order_by_rows(instance: Instance) -> Optional[tuple[int, ...]]:
+    """The item order single-peaked recognition returns, from its rows by
+    definition."""
+    return c1p_order(instance.num_items, sp_rows_by_definition(instance))
+
+
+def sc_order_by_rows(instance: Instance) -> Optional[tuple[int, ...]]:
+    """The voter order single-crossing recognition returns, from its rows by
+    definition: for each ordered item pair (a, b), the voters who weakly
+    prefer b to a."""
+    m = instance.num_items
+    rows = [
+        [1 if row[b] >= row[a] else 0 for row in instance.utilities]
+        for a in range(m)
+        for b in range(m)
+        if a != b
+    ]
+    return c1p_order(instance.num_voters, rows)
 
 
 def connected_optimum(

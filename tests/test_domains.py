@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,14 @@ from knapvote import (
 from knapvote.domains import c1p_order
 
 from conftest import make_instance
-from helpers import c1p_order_by_search, sc_witness_by_search, sp_witness_by_search
+from helpers import (
+    c1p_order_by_search,
+    sc_order_by_rows,
+    sc_witness_by_search,
+    sp_order_by_rows,
+    sp_rows_by_definition,
+    sp_witness_by_search,
+)
 
 
 def x3c_smallest():
@@ -336,3 +344,96 @@ def test_recognizer_row_guardrail():
     with pytest.raises(GuardrailError, match="more than 869 constraint rows"):
         recognize_single_crossing(inst, max_rows=869)
     assert recognize_single_crossing(inst, max_rows=870) is not None
+
+
+def _profile(rng, n, m, shape, mutate):
+    """An n x m profile: random, peaked along a hidden item order, or affine
+    in a voter's point on a line (single-crossing). With ``mutate``, each
+    voter is then, with some chance, replaced by an all-zero voter or by a
+    copy of an earlier one."""
+    if shape == "random":
+        rows = [[rng.randint(0, 2) for _ in range(m)] for _ in range(n)]
+    elif shape == "peaked":
+        axis = rng.sample(range(m), m)
+        rows = []
+        for _ in range(n):
+            peak, top = rng.randrange(m), rng.randint(2, 5)
+            row = [0] * m
+            for p, j in enumerate(axis):
+                row[j] = max(0, top - abs(p - peak))
+            rows.append(row)
+    else:
+        funcs = [(rng.randint(8, 12), rng.randint(-2, 2)) for _ in range(m)]
+        rows = [[a + b * t for a, b in funcs] for t in (rng.randint(0, 3) for _ in range(n))]
+    for i in range(n if mutate else 0):
+        roll = rng.random()
+        if roll < 0.1:
+            rows[i] = [0] * m
+        elif roll < 0.3 and i:
+            rows[i] = list(rows[rng.randrange(i)])
+    return make_instance(rows)
+
+
+def test_recognizers_match_their_rows_by_definition():
+    # one voter, one item, ties, all-zero and duplicate voters, and more
+    # voters than one 64-bit word holds
+    rng = random.Random(19)
+    answers = set()
+    for n in (1, 2, 3, 7, 64, 65, 130):
+        for m in (1, 2, 3, 5, 8):
+            for shape in ("random", "peaked", "crossing"):
+                for mutate in (False, True, True):
+                    inst = _profile(rng, n, m, shape, mutate)
+                    sp = recognize_single_peaked(inst)
+                    sc = recognize_single_crossing(inst)
+                    assert sp == sp_order_by_rows(inst), inst
+                    assert sc == sc_order_by_rows(inst), inst
+                    answers.update({("sp", n > 64, sp is None), ("sc", n > 64, sc is None)})
+    assert len(answers) == 8  # each found and refused, on either side of 64 voters
+
+
+def test_single_peaked_row_guardrail_boundary():
+    # each of the 4 voters has 28 upper level sets of 2 to 29 of the 30
+    # items, the same for every voter: the guardrail counts all 112
+    inst = make_instance([[j for j in range(30)] for _ in range(4)], budget=5)
+    assert len(sp_rows_by_definition(inst)) == 112
+    message = "^single-peaked recognition needs more than 111 constraint rows$"
+    with pytest.raises(GuardrailError, match=message):
+        recognize_single_peaked(inst, max_rows=111)
+    assert recognize_single_peaked(inst, max_rows=112) == tuple(range(30))
+
+
+def test_recognizers_compare_huge_utilities_exactly():
+    # scaling by 2^70 keeps every comparison, so the orders stay the same
+    rng = random.Random(70)
+    for _ in range(60):
+        n, m = rng.randint(1, 8), rng.randint(1, 6)
+        inst = _profile(rng, n, m, rng.choice(("random", "peaked", "crossing")), True)
+        scaled = make_instance([[u * 2**70 for u in row] for row in inst.utilities])
+        assert recognize_single_peaked(scaled) == recognize_single_peaked(inst)
+        assert recognize_single_crossing(scaled) == recognize_single_crossing(inst)
+    # each answer rests on 2^63 and 2^63 + 1 comparing unequal: with them
+    # merged, as float64 merges them, it is the other way round
+    big = 2**63
+    sc = make_instance([[0, big + 1, big], [big, big + 1, 0], [big, 0, 0]])
+    assert recognize_single_crossing(sc) == sc_order_by_rows(sc) == (0, 1, 2)
+    merged = make_instance([[0, big, big], [big, big, 0], [big, 0, 0]])
+    assert recognize_single_crossing(merged) is None
+    sp = make_instance([[big + 1, 0, big], [big, big + 1, 0], [0, 0, 0], [big, big + 1, big + 1]])
+    assert recognize_single_peaked(sp) is sp_order_by_rows(sp) is None
+    merged = make_instance([[big, 0, big], [big, big, 0], [0, 0, 0], [big, big, big]])
+    assert recognize_single_peaked(merged) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("scale", (10**4000, 2**62), ids=("10^4000", "2^62"))
+@pytest.mark.parametrize("shape", ("peaked", "crossing"))
+def test_recognition_finishes_fast_on_huge_numbers(shape, scale):
+    # a 40-voter, 16-item profile of the shape, each utility u turned into
+    # scale * u + u, which keeps every comparison
+    inst = _profile(random.Random(shape), 40, 16, shape, False)
+    huge = make_instance([[scale * u + u for u in row] for row in inst.utilities])
+    for recognize in (recognize_single_peaked, recognize_single_crossing):
+        start = time.perf_counter()
+        order = recognize(huge)
+        assert time.perf_counter() - start < 2
+        assert order == recognize(inst)

@@ -1060,3 +1060,44 @@ def test_wide_tables_relax_a_row_at_a_time(by_cost):
         finally:
             tracemalloc.stop()
         assert peak < (table_rows + 4) * row_bytes
+
+
+# the search routes finish fast on huge numbers and agree with brute force:
+# utilities near 10^4000 with costs 1-5, and costs near 2^62 in which two
+# pairs of items cost exactly the same, with utilities 0-9. Every table cap
+# is lifted, so that xp-dp runs: its table holds only the vectors it
+# reaches, however large their entries. Four items keep greedy exact, since
+# each 4-set grows from one of its 3-item seeds.
+
+SEARCH_ROUTES = {
+    "fpt": ((Objective.DIVERSE,), lambda inst, kind, opts: solve_diverse_fpt(inst, opts)),
+    "xp-dp": ((Objective.FAIR,), lambda inst, kind, opts: solve_fair_xp_dp(inst, opts)),
+    "bruteforce": (tuple(Objective), brute_force),
+    "greedy": (tuple(Objective), solve_greedy),
+}
+
+
+@pytest.mark.parametrize("shape", ("utilities", "costs"))
+@pytest.mark.parametrize(
+    "route, kind",
+    [(route, kind) for route, (kinds, _) in SEARCH_ROUTES.items() for kind in kinds],
+)
+def test_search_routes_finish_fast_on_huge_numbers(route, kind, shape):
+    solve = SEARCH_ROUTES[route][1]
+    rng = random.Random(f"{route} {kind.value}")
+    if shape == "utilities":
+        rows = [
+            [10**4000 * rng.randint(0, 3) + rng.randint(0, 9) for _ in range(4)] for _ in range(3)
+        ]
+        costs, budget = [rng.randint(1, 5) for _ in range(4)], 6
+    else:
+        rows = [[rng.randint(0, 9) for _ in range(3)] for _ in range(3)]
+        rows = [row + [row[2]] for row in rows]  # items 2 and 3 tie exactly
+        costs, budget = [2**62 - 1, 2**62 + 1, 2**62, 2**62], 3 * 2**62
+    inst = make_instance(rows, costs=costs, budget=budget)
+    start = time.perf_counter()
+    sol = solve(inst, kind, SolveOptions(max_dp_cells=10**20000))
+    assert time.perf_counter() - start < 2
+    assert sol.method == route
+    assert (sol.value.score, sol.total_cost) == best_subset(inst, kind.value)[:2]
+    _assert_agrees(sol, inst, kind)
