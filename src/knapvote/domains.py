@@ -308,20 +308,28 @@ def _weak_preference_masks(utilities: Sequence[Sequence[int]]) -> list[int]:
     """The distinct sets, over the given voter rows, of the voters who weakly
     prefer b to a for an ordered item pair (a, b), as bitmasks with the first
     row at the highest bit. Sets of fewer than 2 voters or of all of them are
-    left out: they are contiguous under every order."""
+    left out: they are contiguous under every order.
+
+    The items a are compared a block at a time, each block about 2^18
+    pair-by-voter cells, so the m(m - 1) x n comparison never exists whole;
+    a profile of up to 16 items and 1,024 voters takes one block.
+    """
     n = len(utilities)
     # never let numpy infer the dtype: it reads a row holding 2^63 as float64
     cols = np.array(utilities, dtype=_int_dtype(max(map(max, utilities)))).T
-    prefers = (cols[None, :, :] >= cols[:, None, :]).reshape(-1, n)
-    sizes = prefers.sum(axis=1)
-    prefers = prefers[(sizes > 1) & (sizes < n)]
-    # eight voters to a byte, the first at the top bit; only distinct byte
-    # strings become ints
-    packed = np.packbits(prefers, axis=1)
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    rows = {buf[i : i + width] for i in range(0, len(buf), width)}
-    pad = 8 * width - n
+    m = len(cols)
+    step = max(1, 2**18 // (m * n))
+    rows: set[bytes] = set()
+    for lo in range(0, m, step):
+        prefers = (cols[None, :, :] >= cols[lo : lo + step, None, :]).reshape(-1, n)
+        sizes = prefers.sum(axis=1)
+        # eight voters to a byte, the first at the top bit; only distinct byte
+        # strings become ints
+        packed = np.packbits(prefers[(sizes > 1) & (sizes < n)], axis=1)
+        width = packed.shape[1]
+        buf = packed.tobytes()
+        rows.update(buf[i : i + width] for i in range(0, len(buf), width))
+    pad = -n % 8
     return [int.from_bytes(row, "big") >> pad for row in rows]
 
 

@@ -34,8 +34,12 @@ bruteforce, then greedy, the inexact fallback.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
   for the diverse objective and for the logarithm of the fair objective. The
   chains of a block of seeds advance in lockstep as arrays, identical sets
-  merge after each step, and floats pick each step's item unless several are
-  within a margin of the best, when the exact integer tests decide.
+  merge after each step in one ``np.unique`` call, and floats pick each
+  step's item unless several are within a margin of the best, when the exact
+  integer tests decide. Fair terms come from a table built once per solve
+  when it holds at most 2^15 entries, and a chain is dropped once a
+  submodular bound shows it cannot beat the best finished set; neither
+  changes a pick or the answer.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -923,10 +927,41 @@ def solve_greedy(
     best. Every pick and the answer are thus those of exact arithmetic, and
     the time does not grow with the size of the costs.
 
-    The next pick depends only on the chosen set, so chains of a block that
-    reach the same set are merged after each step. Blocks hold about 2^15
-    chain-by-nonzero entries. Totals and costs are int64 unless a sum could
-    pass 2^62, and Python ints (``object``) then.
+    Three things make a step cheaper without changing a pick:
+
+    - Fair terms from a table. On int64 totals, the term
+      mult * log1p(u / (t + 1)) of each nonzero at every total t that its
+      row can reach (0 up to the row's sum) is computed once per solve, by
+      the same float operations as in a step, and a step reads it. The
+      table is built only when it has at most 2^15 entries, one block;
+      past that a step computes its terms, so time and memory never grow
+      with the utilities. Either way every float is the same.
+    - A bound. Before a step picks, a chain is dropped when no set it can
+      reach beats the best finished set so far. Gains only shrink as a set
+      S grows (ib is additive, and diverse and the logarithm of fair are
+      submodular), so every set reachable from S scores at most f(S) plus
+      the room left times the best gain per unit cost of an item that
+      still fits (Nemhauser, Wolsey & Fisher 1978). For ib and diverse the
+      bound is an exact integer: f(S) plus the floor of room * gain / cost,
+      the most over the items within the margin, among which is the
+      densest. Every set the chain reaches costs more than S, so on a tie
+      with the best score the chain stays only while S costs less than the
+      best, as :func:`_better` ranks ties by cost first. For fair it is a
+      float bound on the logarithm, and a chain goes only when the bound
+      falls short of the best's by more than the margin
+      :func:`brute_force` uses, 1e-9 (1 + |bound|). A chain is bounded
+      only while it has an item left, so no room of 0 meets a density of
+      -inf. A dropped chain would have lost to the best, so the answer
+      stays that of exact arithmetic.
+    - One merge call. The next pick depends only on the chosen set, so
+      chains of a block that reach the same set are merged after each
+      step: one ``np.unique`` over a key per chain, the set as an int64
+      bitmask up to 62 items and its packed bits past that, keeps the
+      first chain of each set. The chains' order never changes a pick or
+      the ranking, which :func:`_better` decides on distinct sets.
+
+    Blocks hold about 2^15 chain-by-nonzero entries. Totals and costs are
+    int64 unless a sum could pass 2^62, and Python ints (``object``) then.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -939,7 +974,10 @@ def solve_greedy(
     gain = _gain(kind)
     mults, nz = _sparse_columns(instance)
     k = len(mults)
-    dt = _int_dtype(instance.total_utility() + 2 * sum(costs))
+    ubound = instance.total_utility()
+    dt = _int_dtype(ubound + 2 * sum(costs))
+    # ib and diverse bounds: room times a gain, plus a score
+    bdt = _int_dtype((budget + 1) * (ubound + 1))
     # the nonzeros item by item: row, utility and mult, one entry per row
     cols = np.array([j for j in range(m) if nz[j]], dtype=np.intp)
     sizes = np.array([len(nz[j]) for j in cols], dtype=np.intp)
@@ -954,15 +992,30 @@ def solve_greedy(
     cc = c[cols][:, None]
     log_cc = None if fair else _log(cc)
     mu = np.array(mults, dtype=float if fair else dt)
+    bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
     width = max(1, 2**15 // max(1, len(er)))
     best = (_score(kind, [0] * k, mults), 0, ())  # the empty knapsack
     best_log = 0.0  # fair: the largest float log score seen
+    table = None
+    if fair and dt is not object:
+        # nonzero e's terms at totals 0 .. its row's sum, from table[off[e]]
+        reach = util.sum(axis=1)[er] + 1
+        if sum(reach.tolist()) <= 2**15:
+            off = np.cumsum(reach) - reach
+            t = np.arange(reach.sum()) - np.repeat(off, reach) + 1
+            table = _log1p_ratio(np.repeat(eu[:, 0], reach), t)
+            table *= np.repeat(em[:, 0], reach)
+            off = off[:, None]
+
+    def log_score(totals: np.ndarray) -> np.ndarray:
+        """The float log of the fair score of each chain."""
+        return (_log1p_ratio(totals, 1) * mu[:, None]).sum(axis=0)  # not BLAS
 
     def rank(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
         """Let the sets of finished chains compete with the best so far."""
         nonlocal best, best_log
         if fair:
-            key = (_log1p_ratio(totals, 1) * mu[:, None]).sum(axis=0)  # not BLAS
+            key = log_score(totals)
             best_log = max(best_log, key.max())
             near = np.flatnonzero(key >= best_log - 1e-9 * (1 + best_log))
         else:
@@ -974,6 +1027,30 @@ def solve_greedy(
             cand = (score, int(cost[b]), sel)
             if _better(cand, best):
                 best = cand
+
+    def can_win(
+        totals: np.ndarray,
+        cost: np.ndarray,
+        room: np.ndarray,
+        g: Optional[np.ndarray],
+        top: np.ndarray,
+        near: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Whether each chain's bound leaves it a chance to beat the best."""
+        if fair:
+            if budget >= 2**1000:
+                # the room may be no float: no chain is dropped
+                return np.ones(len(cost), dtype=bool)
+            # every chain here has an item left, so top is finite
+            ub = log_score(totals) + room.astype(float) * top
+            return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
+        bb, pp = np.nonzero(near.T)  # by chain, each with at least one item
+        dens = room[bb].astype(bdt) * g[pp, bb] // cc[pp, 0]
+        ub = mu @ totals + np.maximum.reduceat(dens, np.cumsum(counts) - counts)
+        # every set the chain reaches costs more than its set now, so on a
+        # tie in score it can only beat a best that costs more
+        return (ub > best[0]) | (ub == best[0]) & (cost < best[1])
 
     def exact_picks(totals: np.ndarray, near: np.ndarray) -> list[int]:
         """Each chain's densest near item by the exact integer tests."""
@@ -996,13 +1073,19 @@ def solve_greedy(
     def advance(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
         """Run a block of chains to their ends, ranking each as it stops."""
         while True:
-            ok = ~chosen[cols] & (cc <= budget - cost)
+            room = budget - cost
+            ok = ~chosen[cols] & (cc <= room)
             # the chain-by-nonzero arrays, the largest, are updated in place
             if fair:
                 t = totals[er]
-                t += 1
-                terms = _log1p_ratio(eu, t)
-                terms *= em
+                if table is None:
+                    t += 1
+                    terms = _log1p_ratio(eu, t)
+                    terms *= em
+                else:
+                    t += off
+                    terms = table[t]
+                g = None
                 key = np.add.reduceat(terms, starts) / cc
             else:
                 if diverse:
@@ -1024,25 +1107,34 @@ def solve_greedy(
                     return
                 live = ~done
                 totals, cost, chosen = totals[:, live], cost[live], chosen[:, live]
-                key, top = key[:, live], top[live]
+                room, key, top = room[live], key[:, live], top[live]
+                if g is not None:
+                    g = g[:, live]
             near = key >= top - 1e-9 * (1 + np.abs(top))
+            counts = near.sum(axis=0)
+            win = can_win(totals, cost, room, g, top, near, counts)
+            if not win.all():
+                if not win.any():
+                    return
+                totals, cost, chosen = totals[:, win], cost[win], chosen[:, win]
+                key, near, counts = key[:, win], near[:, win], counts[win]
             pick = key.argmax(axis=0)
-            tied = np.flatnonzero(near.sum(axis=0) > 1)
+            tied = np.flatnonzero(counts > 1)
             if len(tied):
                 pick[tied] = exact_picks(totals[:, tied], near[:, tied])
             items = cols[pick]
             totals = join(totals, util[:, items])
             cost = cost + c[items]
             chosen[items, np.arange(len(items))] = True
-            # merge the chains that reached the same set into the first
-            words = np.packbits(chosen, axis=0).T.tobytes()
-            w = len(words) // len(items)
-            reached: dict[bytes, int] = {}
-            for b in range(len(items)):
-                reached.setdefault(words[b * w : (b + 1) * w], b)
-            if len(reached) < len(items):
-                keep = list(reached.values())
-                totals, cost, chosen = totals[:, keep], cost[keep], chosen[:, keep]
+            # merge the chains that reached the same set into the first; an
+            # int64 key sorts about ten times faster than packed columns
+            if bits is not None:
+                _, first = np.unique(bits @ chosen, return_index=True)
+            else:
+                packed = np.packbits(chosen, axis=0)
+                _, first = np.unique(packed, axis=1, return_index=True)
+            if len(first) < len(items):  # the chains' order never matters
+                totals, cost, chosen = totals[:, first], cost[first], chosen[:, first]
 
     s = min(opts.greedy_seed_size, m)
     for size in range(1, s + 1):

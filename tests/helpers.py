@@ -183,6 +183,20 @@ def sc_order_by_rows(instance: Instance) -> Optional[tuple[int, ...]]:
     return c1p_order(instance.num_voters, rows)
 
 
+def sc_masks_by_definition(instance: Instance) -> set[int]:
+    """The distinct weak-preference sets of single-crossing recognition, by
+    definition: for each ordered item pair (a, b), the voters who weakly
+    prefer b to a, as a bitmask with voter 0 at the highest bit, left out
+    when it holds fewer than 2 voters or all of them."""
+    n = instance.num_voters
+    masks = set()
+    for a, b in itertools.permutations(range(instance.num_items), 2):
+        voters = [i for i, row in enumerate(instance.utilities) if row[b] >= row[a]]
+        if 2 <= len(voters) < n:
+            masks.add(sum(1 << (n - 1 - i) for i in voters))
+    return masks
+
+
 def connected_optimum(
     instance: Instance, subset: Sequence[int], voter_order: Sequence[int]
 ) -> Optional[int]:

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,12 @@ from knapvote import (
     verify_single_peaked,
     SetSystem,
 )
-from knapvote.domains import c1p_order
+from knapvote.domains import _weak_preference_masks, c1p_order
 
 from conftest import make_instance
 from helpers import (
     c1p_order_by_search,
+    sc_masks_by_definition,
     sc_order_by_rows,
     sc_witness_by_search,
     sp_order_by_rows,
@@ -437,3 +439,31 @@ def test_recognition_finishes_fast_on_huge_numbers(shape, scale):
         order = recognize(huge)
         assert time.perf_counter() - start < 2
         assert order == recognize(inst)
+
+
+def test_weak_preference_masks_match_the_definition_in_every_block():
+    # the comparison runs a block of items at a time, about 2^18 cells each:
+    # one block for the smallest profiles, two to four for the others
+    rng = random.Random(18)
+    for n, m in ((1, 4), (2, 3), (65, 70), (130, 64), (300, 40)):
+        for shape in ("random", "crossing"):
+            inst = _profile(rng, n, m, shape, True)
+            masks = _weak_preference_masks(inst.utilities)
+            assert len(masks) == len(set(masks))
+            assert set(masks) == sc_masks_by_definition(inst)
+    huge = make_instance([[u * 2**70 for u in row] for row in inst.utilities])
+    assert set(_weak_preference_masks(huge.utilities)) == set(masks)
+
+
+def test_single_crossing_rows_take_bounded_memory():
+    # 300 voters and 150 items make 22,350 ordered pairs, 6.7 MB as bytes
+    # compared at once, and as much again filtered
+    inst = _profile(random.Random(300), 300, 150, "crossing", False)
+    tracemalloc.start()
+    try:
+        order = recognize_single_crossing(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order is not None and verify_single_crossing(inst, order)
+    assert peak < 3 * 2**20

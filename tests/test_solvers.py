@@ -3,8 +3,10 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,6 +39,7 @@ from knapvote import (
     solve_ib_dp,
     solve_ordered_diverse_dp,
 )
+from knapvote import solvers
 from knapvote.solvers import _axis, _denser_fair
 
 from conftest import (
@@ -716,6 +719,122 @@ def test_fair_greedy_exact_tie_at_coprime_huge_costs_finishes():
     sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
     assert time.perf_counter() - start < 2
     assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (0, 2)
+
+
+
+def _behind_fillers(front, late, budget):
+    """190 items: the key items of ``front`` first and of ``late`` last, each
+    a (cost, utilities over the key voters) pair, and between them fillers,
+    each valued 1 by a voter of its own and costing the whole budget, so
+    that it only ever competes alone. The fillers' nonzeros fill the first
+    block of seeds of size 1, so the late items seed a later block."""
+    m = 190
+    keys = len(front[0][1])
+    fill = m - len(front) - len(late)
+    cols = [u for _, u in front] + [None] * fill + [u for _, u in late]
+    rows = [[0] * m for _ in range(keys + fill)]
+    filler = keys
+    for j, col in enumerate(cols):
+        if col is None:
+            rows[filler][j] = 1
+            filler += 1
+        else:
+            for v, u in enumerate(col):
+                rows[v][j] = u
+    costs = [c for c, _ in front] + [budget] * fill + [c for c, _ in late]
+    inst = make_instance(rows, costs=costs, budget=budget)
+    nonzeros = sum(u > 0 for row in rows for u in row)
+    assert 2**15 // nonzeros <= m - len(late)  # the first block ends before them
+    return inst
+
+
+@pytest.mark.parametrize(
+    "kinds, front, late, budget, expected",
+    (
+        # {1, 189}, from seed 1, and {0, 189} tie at score 5 and cost 3, and
+        # only seed 189, in the later block, reaches {0, 189}: at {189},
+        # score 3 at cost 2 with room 1, its bound 3 + 1 * 2 ties the best,
+        # which costs more
+        (("diverse",), [(1, (2, 0)), (1, (2, 2)), (2, (1, 1))], [(2, (0, 3))], 3, (0, 189)),
+        # seed 0 (no utility) reaches {0, 188, 189}, score 2 at cost 6; seed
+        # 188 then has room 3 and bound 1 + 3 * 1 // 2 = 2 at cost 3, and
+        # ends at {188, 189}, score 2 at cost 5
+        (("ib", "diverse"), [(1, (0, 0))], [(3, (1, 0)), (2, (0, 1))], 6, (188, 189)),
+        # fair: seed 0 reaches {0, 2} with the total 2 and room 2, where the
+        # bound is log 3 + 2 * log(4 / 3) / 2 = log 4, exactly the score of
+        # {1}; {0, 2, 189} then ties {1} at cost 4 and comes first
+        (("fair",), [(1, (1,)), (4, (3,)), (1, (1,))], [(2, (1,))], 4, (0, 2, 189)),
+    ),
+)
+def test_greedy_bound_keeps_the_chains_that_tie_the_best(kinds, front, late, budget, expected):
+    # dropping a chain whose bound only ties the best changes each answer
+    inst = _behind_fillers(front, late, budget)
+    opts = SolveOptions(greedy_seed_size=1)
+    for kind in kinds:
+        assert solve_greedy(inst, kind, opts).knapsack == expected
+        assert greedy_by_definition(inst, kind, 1) == expected
+
+
+@pytest.mark.parametrize("extra", (0, 1), ids=("at the cap", "past the cap"))
+def test_fair_greedy_table_cap(monkeypatch, extra):
+    # fair terms are tabulated, one per nonzero at each total its row can
+    # reach (0 up to the row's sum), when there are at most 2^15 of them.
+    # Row a, of three voters, holds 4 * 10 of them and row b 3 * 7; row c
+    # holds z + 1, for 2^15 in all at extra 0 and one past the cap at 1
+    z = 2**15 - 62 + extra
+    a, b, c = [3, 3, 1, 0, 2, 0], [0, 2, 2, 2, 0, 0], [0, 0, 0, 0, 0, z]
+    inst = make_instance([a, b, a, c, a], costs=[2, 2, 1, 1, 3, 2], budget=6)
+    sizes = []
+    real = solvers._log1p_ratio
+    monkeypatch.setattr(
+        solvers, "_log1p_ratio", lambda u, t: sizes.append(u.size) or real(u, t)
+    )
+    for size in (1, 2, 3):
+        opts = SolveOptions(greedy_seed_size=size)
+        expected = greedy_by_definition(inst, "fair", size)
+        assert solve_greedy(inst, Objective.FAIR, opts).knapsack == expected
+    assert (2**15 in sizes) == (extra == 0)  # the table, built in one call
+
+
+def test_greedy_chains_that_run_out_first_raise_no_float_error():
+    # seed 2 fills the budget, so its chain stops at the first step with a
+    # room of 0 while the others go on: a finished chain is never bounded,
+    # where that room would meet a best density of -inf
+    inst = make_instance(
+        [[2, 0, 1, 1, 0], [0, 3, 0, 1, 2], [1, 1, 0, 0, 1]], costs=[4, 1, 5, 2, 1], budget=5
+    )
+    opts = SolveOptions(greedy_seed_size=1)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, label in KINDS:
+            assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 1)
+
+
+def test_greedy_takes_budgets_past_float_range():
+    # the room of a chain here is past float range, where the fair bound
+    # cannot be taken in floats; four items keep greedy exact
+    inst = make_instance(
+        [[1, 2, 0, 1], [0, 1, 3, 1]], costs=[10**308, 10**308, 1, 3], budget=2 * 10**308 + 1
+    )
+    for kind in Objective:
+        assert solve_greedy(inst, kind).knapsack == brute_force(inst, kind).knapsack
+
+
+@pytest.mark.parametrize("m", (62, 63))
+def test_greedy_merges_chains_on_either_side_of_62_items(m):
+    # a chain's set is keyed as an int64 bitmask up to 62 items and by its
+    # packed bits past that; items repeat every 13, so chains meet often
+    rng = random.Random(m)
+    cols = [[rng.randint(0, 4) for _ in range(3)] for _ in range(13)]
+    costs = [rng.randint(1, 4) for _ in cols]
+    inst = make_instance(
+        [[cols[j % 13][v] for j in range(m)] for v in range(3)],
+        costs=[costs[j % 13] for j in range(m)],
+        budget=9,
+    )
+    opts = SolveOptions(greedy_seed_size=1)
+    for kind, label in KINDS:
+        assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 1)
 
 
 @settings(max_examples=300, deadline=None)
