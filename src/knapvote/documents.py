@@ -109,9 +109,10 @@ def parse_instance(text: str) -> Instance:
     for i, row in enumerate(utilities):
         if not isinstance(row, list):
             raise ValidationError(f"utilities[{i}] must be an array")
-        for j, u in enumerate(row):
-            if not _is_int(u):
-                raise ValidationError(f"utilities[{i}][{j}] must be an integer")
+        if not set(map(type, row)) <= {int}:  # one pass in C for the common case
+            for j, u in enumerate(row):
+                if not _is_int(u):
+                    raise ValidationError(f"utilities[{i}][{j}] must be an integer")
         rows.append(tuple(row))
     if voters != len(rows):
         raise ValidationError(

@@ -28,6 +28,7 @@ from outside and hands them, as bitmasks, to the same core,
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -276,15 +277,18 @@ def recognize_single_peaked(
     {items with utility >= t} is contiguous, so recognition is a
     consecutive-ones problem with one row per voter per distinct positive
     utility value. Read in falling utility order, a voter's items build those
-    sets as a nested chain of masks; ``max_rows`` counts the sets of 2 to
-    m - 1 items before duplicates are dropped.
+    sets as a nested chain of masks, once per distinct row; ``max_rows``
+    counts the sets of 2 to m - 1 items of every voter, before duplicates are
+    dropped.
     """
     m = instance.num_items
     bits = [1 << (m - 1 - j) for j in range(m)]
     masks = []
-    for urow in instance.utilities:
+    count = 0
+    for urow, voters in Counter(instance.utilities).items():
         falling = sorted(range(m), key=urow.__getitem__, reverse=True)
         mask = 0
+        sets = 0
         # the first k items are an upper level set when the next one is
         # worth less; the set of all m items is never a constraint
         for k, j in enumerate(falling[:-1], 1):
@@ -293,10 +297,12 @@ def recognize_single_peaked(
             mask |= bits[j]
             if k > 1 and urow[falling[k]] < urow[j]:
                 masks.append(mask)
-                if len(masks) > max_rows:
-                    raise GuardrailError(
-                        f"single-peaked recognition needs more than {max_rows} constraint rows"
-                    )
+                sets += 1
+        count += voters * sets
+        if count > max_rows:
+            raise GuardrailError(
+                f"single-peaked recognition needs more than {max_rows} constraint rows"
+            )
     return _c1p_masks(m, masks)
 
 

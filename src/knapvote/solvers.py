@@ -24,7 +24,9 @@ bruteforce, then greedy, the inexact fallback.
 - :func:`solve_ib_dp` - additive objective, knapsack table on the shorter axis.
 - :func:`solve_diverse_sp_dp` - diverse objective on a single-peaked profile.
 - :func:`solve_ordered_diverse_dp` - diverse objective relative to a fixed
-  voter order (exact for single-crossing orders, a lower bound otherwise).
+  voter order (exact for single-crossing orders, a lower bound otherwise);
+  the table steps once per run of identical adjacent voters, for work of
+  runs * m * (axis + 1).
 - :func:`solve_diverse_sc` - single-crossing recognition front end to the
   fixed-order table.
 - :func:`solve_diverse_fpt` - diverse objective for few voters, a DP over
@@ -39,7 +41,8 @@ bruteforce, then greedy, the inexact fallback.
   integer tests decide. Fair terms come from a table built once per solve
   when it holds at most 2^15 entries, and a chain is dropped once a
   submodular bound shows it cannot beat the best finished set; neither
-  changes a pick or the answer.
+  changes a pick or the answer. Fair densities are compared as logs once a
+  cost reaches 2^1000, near the end of float range.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -526,36 +529,59 @@ def solve_diverse_sp_dp(
 # diverse objective, fixed voter order
 
 
+def _voter_runs(
+    instance: Instance, voter_order: Sequence[int], merge: bool
+) -> np.ndarray:
+    """The steps of the fixed-order table along ``voter_order``, as utility
+    rows: each run of identical adjacent voters as one row, its voters'
+    summed utilities, when ``merge``; one row per voter otherwise."""
+    voter_order = _check_permutation(voter_order, instance.num_voters, "voters")
+    ordered = [instance.utilities[v] for v in voter_order]
+    if merge:
+        runs = [(row, len(list(same))) for row, same in itertools.groupby(ordered)]
+    else:
+        runs = [(row, 1) for row in ordered]
+    vdt = _int_dtype(instance.total_utility())
+    steps = np.array([row for row, _ in runs], dtype=vdt)
+    return steps * np.array([k for _, k in runs], dtype=vdt)[:, None]
+
+
 def _order_rows(
     instance: Instance,
-    voter_order: Sequence[int],
+    steps: np.ndarray,
     opts: SolveOptions,
     span: Optional[int] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """The fixed-order table on the shorter axis, with the empty row as row 0
-    and the first t ordered voters in row t; the limit; and the axis, as
-    :func:`_axis` picks it for ``span``.
+    and the first t steps of :func:`_voter_runs` in row t; the limit; and
+    the axis, as :func:`_axis` picks it for ``span``.
 
     Running row a holds the finished rows (the empty row, earlier rows) with
-    a segment of item a open after them, plus a's utility since. Row t is the
-    best running row plus its item's cost, and then joins every running row.
-    The work is n * m * (axis + 1); the guardrail checks n * m * (U + 1),
-    which bounds it.
+    a segment of item a open after them, plus a's utility since. A step adds
+    its utilities to every running row; row t is then the best running row
+    plus its item's cost, and joins every running row.
+
+    A step may be a run of identical adjacent voters, and the rows at its
+    ends are those that a step per voter builds. A segmentation that puts
+    two identical adjacent voters in different segments does no better than
+    the one that moves either voter into the other's segment, the one whose
+    item that voter values at least as much: the value cannot fall, and the
+    cost cannot rise, as no segment is added. So the best entries never
+    split a run. The work is runs * m * (axis + 1); the guardrail checks
+    n * m * (U + 1) over the voters, which bounds it.
     """
-    voter_order = _check_permutation(voter_order, instance.num_voters, "voters")
     n = instance.num_voters
     m = instance.num_items
     _check_cells("order table", n * (instance.total_utility() + 1) * m, opts)
     empty, none, limit, by_cost = _empty_row(instance, span)
-    rows = np.full((n + 1, len(empty)), none, dtype=empty.dtype)
+    rows = np.full((len(steps) + 1, len(empty)), none, dtype=empty.dtype)
     rows[0] = empty
     running = np.tile(empty, (m, 1))
-    util = np.array(instance.utilities, dtype=_int_dtype(instance.total_utility()))
     costs = np.array(instance.costs, dtype=_int_dtype(max(instance.costs)))[:, None]
-    for t, v in enumerate(voter_order, 1):
+    for t, step in enumerate(steps, 1):
         # rows never decrease along the axis, so a value-axis row relaxed by
         # itself is shifted, and a cost-axis one is raised
-        _relax(running, running, util[v][:, None], 0, by_cost)
+        _relax(running, running, step[:, None], 0, by_cost)
         _relax(rows[t], running, 0, costs, by_cost)
         _relax(running, rows[t], 0, 0, by_cost)
     return rows, limit, by_cost
@@ -575,14 +601,16 @@ def ordered_diverse_table(
     lower-bounds the budgeted diverse optimum for every order and matches it
     when the order is single-crossing.
 
-    The table has U + 1 columns, for U the total utility. When Σcosts <= U,
+    The table has U + 1 columns, for U the total utility, and a row per
+    voter, so it steps once per voter. When Σcosts <= U,
     it is built over the Σcosts + 1 costs, holding the most value within
     each cost, and each row is turned into the value axis by a binary search.
     The work is n * m * (min(Σcosts, U) + 1).
     """
     opts = options or DEFAULT_OPTIONS
     inf = sum(instance.costs) + 1
-    rows, _, by_cost = _order_rows(instance, voter_order, opts, inf - 1)
+    steps = _voter_runs(instance, voter_order, merge=False)
+    rows, _, by_cost = _order_rows(instance, steps, opts, inf - 1)
     table = rows[1:]
     if by_cost:
         # the least cost whose most value reaches x, or Σcosts + 1
@@ -597,14 +625,27 @@ def _solve_with_voter_order(
     method: str,
     opts: SolveOptions,
 ) -> Solution:
-    rows, limit, by_cost = _order_rows(instance, voter_order, opts)
+    """The best knapsack of the fixed-order table, built a step per run of
+    identical adjacent voters (see :func:`_order_rows`).
+
+    The walk back stops only where a step per voter would. Say a step per
+    voter takes source s and item a, with voters s and s + 1 identical. In
+    the best split of the first s voters at the column read, voter s's
+    segment has some item b. If voter s values a at least as much as b,
+    moving voter s into a's segment shows that source s - 1 and item a give
+    the same entry. Otherwise moving voter s + 1 into b's segment would beat
+    the entry at no more cost, which on a cost axis no entry allows, and on
+    a value axis no entry that the walk reaches from the best value within
+    the limit. So the lowest source sits at the start of a run, and the
+    knapsack is that of a step per voter.
+    """
+    steps = _voter_runs(instance, voter_order, merge=True)
+    rows, limit, by_cost = _order_rows(instance, steps, opts)
     n = len(rows) - 1
     x, _ = _optimum(rows[::n], limit, by_cost)  # the empty row and row n, a view
-    # source s of the walk is the empty row (s = 0) or the first s voters,
-    # and prefix[s][a] is item a's utility over the first s ordered voters
-    ordered = [instance.utilities[v] for v in voter_order]
-    vdt = _int_dtype(instance.total_utility())
-    prefix = np.cumsum([[0] * instance.num_items, *ordered], axis=0, dtype=vdt)
+    # source s of the walk is the empty row (s = 0) or the first s runs,
+    # and prefix[s][a] is item a's utility over the voters of those runs
+    prefix = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0)
     costs = np.array(instance.costs, dtype=_int_dtype(max(instance.costs)))
     items: set[int] = set()
     s = n if x else 0
@@ -625,6 +666,10 @@ def solve_ordered_diverse_dp(
     Exact for the diverse objective when the order is single-crossing;
     otherwise the reported value can fall below the true optimum (never above
     the evaluated value of the returned knapsack, which is always feasible).
+    The table steps once per run of identical adjacent voters along the
+    order, for work of runs * m * (axis + 1) on the shorter axis (see
+    :func:`_axis`); the knapsack is the one a step per voter gives. The
+    guardrail checks n * m * (U + 1) over the voters, which bounds it.
     """
     opts = options or DEFAULT_OPTIONS
     return _solve_with_voter_order(instance, voter_order, "ordered-dp", opts)
@@ -782,15 +827,17 @@ def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) 
     pc * log(after / before) > cost * log(pa / pb) in floats; each side errs
     by a few ulps of pc * log(after) or cost * log(pa), far inside the
     margin, and only within the margin does :func:`_log_greater` decide it
-    exactly, with both weights divided by gcd(cost, pc).
+    exactly, with both weights divided by gcd(cost, pc). A cost of 2^1000 or
+    more, near the end of float range, goes to :func:`_log_greater` at once.
     """
     if cost == pc:
         return after * pb > pa * before
-    la, lpa = math.log(after), math.log(pa)
-    lhs = pc * (la - math.log(before))
-    rhs = cost * (lpa - math.log(pb))
-    if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
-        return lhs > rhs
+    if max(cost, pc) < 2**1000:
+        la, lpa = math.log(after), math.log(pa)
+        lhs = pc * (la - math.log(before))
+        rhs = cost * (lpa - math.log(pb))
+        if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
+            return lhs > rhs
     g = math.gcd(cost, pc)
     return _log_greater(Fraction(after, before), pc // g, Fraction(pa, pb), cost // g)
 
@@ -883,6 +930,26 @@ def _log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.frompyfunc(one, 2, 1)(u, t).astype(float)
 
 
+def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log(log(1 + u / t)) for Python ints u, t >= 1, as floats that err by
+    a few ulps of the result, however small the ratio.
+
+    Below 2^-1000, where log1p(u / t) would be a subnormal float of few
+    digits, it is log u - log t, which errs by under u / t.
+    """
+
+    def one(a: int, b: int) -> float:
+        try:
+            q = a / b
+        except OverflowError:
+            return math.log(math.log(a + b) - math.log(b))
+        if q < 2.0**-1000:
+            return math.log(a) - math.log(b)
+        return math.log(math.log1p(q))
+
+    return np.frompyfunc(one, 2, 1)(u, t).astype(float)
+
+
 def _seed_blocks(
     costs: np.ndarray, budget: int, size: int, width: int
 ) -> Iterator[np.ndarray]:
@@ -962,6 +1029,11 @@ def solve_greedy(
 
     Blocks hold about 2^15 chain-by-nonzero entries. Totals and costs are
     int64 unless a sum could pass 2^62, and Python ints (``object``) then.
+    Once a cost reaches 2^1000, near the end of float range (about 2^1024),
+    fair densities are compared as logs, log(summed terms) - log(cost), as
+    those of ib and diverse always are; each term is taken as a log, so that
+    none is lost to a subnormal float, and the exact test takes such costs
+    straight to :func:`_log_greater`.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -990,7 +1062,11 @@ def solve_greedy(
     util[er, np.repeat(cols, sizes)] = eu[:, 0]
     c = np.array(costs, dtype=dt)
     cc = c[cols][:, None]
-    log_cc = None if fair else _log(cc)
+    # fair densities from a cost of 2^1000 on, near the end of float range,
+    # are compared as logs, as those of ib and diverse always are
+    log_keys = fair and max(costs) >= 2**1000
+    log_cc = _log(cc) if log_keys or not fair else None
+    log_em = np.log(em) if log_keys else None
     mu = np.array(mults, dtype=float if fair else dt)
     bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
     width = max(1, 2**15 // max(1, len(er)))
@@ -1042,8 +1118,10 @@ def solve_greedy(
             if budget >= 2**1000:
                 # the room may be no float: no chain is dropped
                 return np.ones(len(cost), dtype=bool)
-            # every chain here has an item left, so top is finite
-            ub = log_score(totals) + room.astype(float) * top
+            # every chain here has an item left, so top is finite; log keys
+            # hold the log of the density
+            dens = np.exp(top) if log_keys else top
+            ub = log_score(totals) + room.astype(float) * dens
             return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
         bb, pp = np.nonzero(near.T)  # by chain, each with at least one item
         dens = room[bb].astype(bdt) * g[pp, bb] // cc[pp, 0]
@@ -1078,15 +1156,24 @@ def solve_greedy(
             # the chain-by-nonzero arrays, the largest, are updated in place
             if fair:
                 t = totals[er]
-                if table is None:
-                    t += 1
-                    terms = _log1p_ratio(eu, t)
-                    terms *= em
-                else:
-                    t += off
-                    terms = table[t]
                 g = None
-                key = np.add.reduceat(terms, starts) / cc
+                if log_keys:
+                    # the log of each item's summed terms, each term taken
+                    # as a log, so that none is a subnormal float
+                    logs = _log_log1p_ratio(eu, t + 1) + log_em
+                    peak = np.maximum.reduceat(logs, starts)
+                    with np.errstate(under="ignore"):
+                        rest = np.exp(logs - np.repeat(peak, sizes, axis=0))
+                    key = peak + np.log(np.add.reduceat(rest, starts)) - log_cc
+                else:
+                    if table is None:
+                        t += 1
+                        terms = _log1p_ratio(eu, t)
+                        terms *= em
+                    else:
+                        t += off
+                        terms = table[t]
+                    key = np.add.reduceat(terms, starts) / cc
             else:
                 if diverse:
                     terms = totals[er]

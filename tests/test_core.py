@@ -48,6 +48,16 @@ def test_negative_utility_reported_with_cell():
     assert any("utility" in msg and "0" in msg for msg in messages)
 
 
+def test_bad_utilities_reported_by_cell_after_good_ones():
+    # a bool, a negative and a float after valid cells, and valid rows
+    # before and after them: each named, in row order, and nothing else
+    rows = ((0, 1, 2), (3, True, -1), (2**70, 0, 0), (1.5, 0, 2))
+    assert _refused(("a", "b", "c"), (1, 1, 1), rows, 1) == [
+        f"utility must be a nonnegative integer at voter {i}, item {j}"
+        for i, j in ((1, 1), (1, 2), (3, 0))
+    ]
+
+
 def test_duplicate_names_and_bad_budget_reported():
     assert any("name" in m for m in _refused(("a", "a"), (1, 1), ((0, 0),), 1))
     assert any("budget" in m for m in _refused(("a",), (1,), ((0,),), -1))

@@ -75,6 +75,16 @@ def test_integer_fields_reject_floats_and_bools():
         parse_instance(doc_with(items=[{"name": "a", "cost": 1.0}]))
 
 
+@pytest.mark.parametrize("bad", (True, 2.5, "3", None))
+def test_utilities_name_the_first_bad_cell_past_good_ones(bad):
+    # the rows before it and the other cells of its row are integers; a
+    # later row holds a float and a negative
+    rows = [[0, 1, 2**70], [3, 4, bad, 5], [-1, 1.5]]
+    message = r"^utilities\[1\]\[2\] must be an integer$"
+    with pytest.raises(ValidationError, match=message):
+        parse_instance(doc_with(utilities=rows))
+
+
 def test_item_entry_schemas():
     with pytest.raises(ValidationError, match=r"items\[0\] must be an object"):
         parse_instance(doc_with(items=["a"]))

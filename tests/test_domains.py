@@ -405,6 +405,19 @@ def test_single_peaked_row_guardrail_boundary():
     assert recognize_single_peaked(inst, max_rows=112) == tuple(range(30))
 
 
+def test_single_peaked_row_guardrail_counts_every_duplicate_voter():
+    # row a has 28 upper level sets of 2 to 29 items and row b has 2; the
+    # profile holds a three times and b twice, apart, so 3 * 28 + 2 * 2 = 88
+    a = list(range(30))
+    b = [0] * 27 + [1, 2, 3]
+    inst = make_instance([a, b, a, b, a], budget=5)
+    assert len(sp_rows_by_definition(inst)) == 88
+    message = "^single-peaked recognition needs more than 87 constraint rows$"
+    with pytest.raises(GuardrailError, match=message):
+        recognize_single_peaked(inst, max_rows=87)
+    assert recognize_single_peaked(inst, max_rows=88) == sp_order_by_rows(inst)
+
+
 def test_recognizers_compare_huge_utilities_exactly():
     # scaling by 2^70 keeps every comparison, so the orders stay the same
     rng = random.Random(70)

@@ -820,6 +820,77 @@ def test_greedy_takes_budgets_past_float_range():
         assert solve_greedy(inst, kind).knapsack == brute_force(inst, kind).knapsack
 
 
+# Fair densities with a cost of 2^1000 or more, near the end of float range
+# (about 1.8 * 10^308), are compared as logs. Multiplying every cost by one
+# factor K, and the budget by K plus less than K, keeps every fit and every
+# comparison of densities, each of which is raised to the power 1 / K, so
+# greedy returns the knapsack of the unscaled instance.
+@pytest.mark.parametrize("factor", (2**1000, 10**309), ids=("2^1000", "10^309"))
+def test_fair_greedy_takes_costs_past_float_range(factor):
+    big = 10**309
+    inst = Instance(("a", "b", "c"), (big, 1, 2), ((1, 2, 0), (0, 1, 3)), big + 3)
+    expected = greedy_by_definition(inst, "fair", 3)
+    assert solve_greedy(inst, Objective.FAIR).knapsack == expected
+    rng = random.Random(factor % 997)
+    for _ in range(40):
+        inst = random_instance(rng, max_items=7)
+        scaled = make_instance(
+            inst.utilities,
+            costs=[c * factor for c in inst.costs],
+            budget=inst.budget * factor + rng.randrange(factor),
+        )
+        for size in (1, 2, 3):
+            opts = SolveOptions(greedy_seed_size=size)
+            expected = greedy_by_definition(inst, "fair", size)
+            assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
+
+
+def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
+    # after item 3, voter 0's total is 10^400 and items 0 and 1 add 2 to it:
+    # their terms log1p(2 / (10^400 + 1)) are no float but their logs are,
+    # and summed as floats they would read 0 and end the chain. Item 2 never
+    # fits; its cost makes the densities logs. A budget of 6 leaves the
+    # bound to drop chains, and one past 2^1000 turns it off
+    for budget in (6, 10**309):
+        costs = [2, 2, 3 * 10**309, 2]
+        inst = make_instance([[2, 2, 1, 10**400]], costs=costs, budget=budget)
+        for size in (1, 2, 3):
+            opts = SolveOptions(greedy_seed_size=size)
+            assert solve_greedy(inst, Objective.FAIR, opts).knapsack == (0, 1, 3)
+            assert greedy_by_definition(inst, "fair", size) == (0, 1, 3)
+
+
+def test_fair_greedy_exact_tie_test_takes_costs_past_float_range():
+    # doubling a voter at cost H or at cost H + 1: the logs of the densities
+    # are equal floats, so the exact test decides, with no power of H formed
+    big = 10**309
+    assert _denser_fair(2, 1, big, 2, 1, big + 1)
+    assert not _denser_fair(2, 1, big + 1, 2, 1, big)
+    assert not _denser_fair(4, 1, 2 * big, 2, 1, big)  # an exact tie
+    assert not _denser_fair(2, 1, big, 4, 1, 2 * big)
+    assert _denser_fair(9, 1, 2 * big, 3, 1, big + 1)
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    inst = Instance(("a", "b", "c"), (big, big + 1, 1), rows, big + 2)
+    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (0, 2)
+
+
+def test_auto_answers_fair_past_the_brute_force_cap_with_a_cost_past_float_range():
+    # 26 items pass the brute-force cap and the vector table trips its
+    # guardrail, so greedy answers; item 7 costs 10^309
+    rng = random.Random(26)
+    rows = [[rng.randint(0, 9) for _ in range(26)] for _ in range(4)]
+    costs = [rng.randint(1, 5) for _ in range(26)]
+    costs[7] = 10**309
+    for budget in (12, 10**309 + 12):
+        inst = make_instance(rows, costs=costs, budget=budget)
+        sol = solve_auto(inst, Objective.FAIR)
+        assert sol.method == "greedy-approximate"
+        assert sol.total_cost <= budget
+        if budget == 12:  # item 7 never fits: the definition raises no power of it
+            assert sol.knapsack == greedy_by_definition(inst, "fair", 3)
+
+
 @pytest.mark.parametrize("m", (62, 63))
 def test_greedy_merges_chains_on_either_side_of_62_items(m):
     # a chain's set is keyed as an int64 bitmask up to 62 items and by its
@@ -1094,6 +1165,107 @@ def test_ordered_table_matches_enumeration_on_either_axis(rng):
         table = ordered_diverse_table(inst, order)
         assert table.shape == (n, inst.total_utility() + 1)
         assert table.tolist() == ordered_table_by_enumeration(inst, order)
+
+
+# The knapsacks of solve_ordered_diverse_dp and solve_diverse_sc on seeded
+# instances (None where the profile is not single-crossing), computed with a
+# table that steps once per voter. Stepping once per run of identical
+# adjacent voters must leave every one as it is.
+# The cases take turns: runs of identical voters on the cost axis and on the
+# value axis; utilities past 2^62 and costs past 2^62 (Python-int rows);
+# orders that take one voter of each distinct row at a time, so that most
+# duplicates are not adjacent; and points on a line drawn with repeats
+# (single-crossing). 59 of the 200 orders are not single-crossing.
+
+
+def _pinned_order_cases():
+    rng = random.Random(4321)
+    cases = []
+    for k in range(200):
+        shape = ("cost", "value", "huge", "apart", "crossing")[k % 5]
+        m = rng.randint(1, 6)
+        if shape == "crossing":
+            funcs = [(rng.randint(0, 2), rng.randint(0, 4)) for _ in range(m)]
+            points = sorted(rng.randint(0, 3) for _ in range(rng.randint(1, 9)))
+            rows = [[a * t + b for a, b in funcs] for t in points]
+        else:
+            top = 2 if shape == "value" else 9
+            distinct = [[rng.randint(0, top) for _ in range(m)] for _ in range(4)]
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                rows += [rng.choice(distinct)] * rng.randint(1, 3)
+        lo, hi = (4, 15) if shape == "value" else (1, 4)
+        costs = [rng.randint(lo, hi) for _ in range(m)]
+        budget = rng.randint(0, sum(costs))
+        if shape == "huge":
+            if k % 2:
+                rows = [[u * 2**63 for u in row] for row in rows]
+            else:
+                costs = [c * 2**62 for c in costs]
+                budget *= 2**62
+        order = list(range(len(rows)))
+        if shape == "apart":
+            # the first voter of each distinct row, then the second, ...
+            order.sort(key=lambda v: rows[:v].count(rows[v]))
+        cases.append((make_instance(rows, costs=costs, budget=budget), order))
+    return cases
+
+
+PINNED_ORDER_KNAPSACKS = (
+    ((1,), (1,)), ((0,), (0,)), ((3, 5), (3, 5)), ((1,), (1,)), ((0,), (0,)),
+    ((3,), (3,)), ((0,), (0,)), ((0, 2), None), ((), ()), ((2,), (2,)), ((), ()),
+    ((0,), (0,)), ((2,), (2,)), ((0,), (0,)), ((1, 4), (1, 4)), ((), ()), ((), ()),
+    ((1,), (1,)), ((0,), (0,)), ((2, 4), (2, 4)), ((), ()), ((0,), (0,)), ((), ()),
+    ((2, 3), None), ((3,), (3,)), ((2,), (2,)), ((2,), (2,)), ((), ()), ((3,), (3,)),
+    ((2,), (2,)), ((), ()), ((2,), (2,)), ((), ()), ((), None), ((), ()),
+    ((1, 3), (1, 3)), ((2,), (2,)), ((2, 3), None), ((0,), (0,)), ((1, 2), (1, 2)),
+    ((2,), (2,)), ((), ()), ((1, 2), (1, 2)), ((1,), (1,)), ((), ()), ((0,), (0,)),
+    ((), ()), ((4,), (4,)), ((), None), ((3,), (3,)), ((2,), (2,)), ((), ()),
+    ((3,), (3,)), ((1,), (1,)), ((), ()), ((1,), (1,)), ((0, 1, 3), None), ((), None),
+    ((), None), ((3,), (3,)), ((2,), (2,)), ((), ()), ((0,), (0,)), ((0, 2), None),
+    ((1, 3), (1, 3)), ((), ()), ((), ()), ((1,), (1,)), ((2, 3), (2, 3)), ((1,), (1,)),
+    ((), ()), ((), ()), ((1,), (1,)), ((1,), (1,)), ((2,), (2,)), ((), ()),
+    ((2,), (2,)), ((0,), (0,)), ((), ()), ((1,), (1,)), ((1, 2), None), ((1,), (1,)),
+    ((0,), (0,)), ((2,), (2,)), ((0,), (0,)), ((1,), (1,)), ((), ()), ((3,), (3,)),
+    ((0,), (0,)), ((1,), (1,)), ((0,), (0,)), ((), ()), ((0, 3), (0, 3)), ((1,), (1,)),
+    ((), ()), ((0, 2), None), ((1,), (1,)), ((0, 3), None), ((1,), (1,)), ((), ()),
+    ((0,), (0,)), ((0,), (0,)), ((5,), (5,)), ((2, 4), None), ((2,), (2,)),
+    ((0,), (0,)), ((1,), (1,)), ((1,), (1,)), ((), ()), ((1,), (1,)), ((4,), (4,)),
+    ((), ()), ((0,), (0,)), ((0, 2), None), ((2,), (2,)), ((0, 1, 2), (0, 2)),
+    ((1,), (1,)), ((1,), (1,)), ((1,), (1,)), ((3,), (3,)), ((1, 2), (1, 2)),
+    ((1,), (1,)), ((), ()), ((0, 3), None), ((), ()), ((3, 4), None), ((1,), None),
+    ((0,), (0,)), ((0,), (0,)), ((5,), (5,)), ((), ()), ((3, 4), (3, 4)), ((1,), (1,)),
+    ((0,), (0,)), ((2,), (2,)), ((2, 4), (2, 4)), ((1,), (1,)), ((0, 2), None),
+    ((2,), (2,)), ((2,), (2,)), ((0,), (0,)), ((0, 3), (0, 3)), ((), ()),
+    ((0, 4, 5), (0, 5)), ((3,), (3,)), ((4,), (4,)), ((0,), (0,)), ((1, 3), (1, 3)),
+    ((), ()), ((1, 2), (1, 2)), ((2,), (2,)), ((0, 3), (0, 3)), ((0,), (0,)),
+    ((1, 2, 5), None), ((0,), (0,)), ((0,), (0,)), ((1, 3, 4), None), ((0,), (0, 3)),
+    ((0,), (0,)), ((4,), (4,)), ((0,), (0,)), ((1, 4), None), ((2,), (2,)),
+    ((0, 1, 2), None), ((), ()), ((1,), (1,)), ((1, 3), None), ((0,), (0,)),
+    ((0, 3, 4), None), ((5,), (5,)), ((0,), (0,)), ((2,), (2,)), ((0,), (0,)),
+    ((0,), (0,)), ((), ()), ((), ()), ((5,), (5,)), ((0, 4), None), ((0,), None),
+    ((0,), (0,)), ((), ()), ((1,), (1,)), ((2,), (2,)), ((0,), (0,)), ((0,), (0,)),
+    ((4,), (4,)), ((0,), (0,)), ((), None), ((1, 5), (1, 5)), ((0,), (0,)),
+    ((0, 2), (0, 2)), ((0,), (0,)), ((1,), (1,)), ((0,), (0,)), ((2,), (2,)), ((), ()),
+    ((3,), (3,)), ((), None), ((), ()), ((1,), (1,)),
+)
+
+
+def test_fixed_order_knapsacks_are_pinned():
+    cases = _pinned_order_cases()
+    axes = set()
+    pins = zip(cases, PINNED_ORDER_KNAPSACKS, strict=True)
+    for (inst, order), (ordered, crossing) in pins:
+        assert solve_ordered_diverse_dp(inst, order, WIDE).knapsack == ordered
+        if crossing is None:
+            with pytest.raises(ValidationError, match="single-crossing"):
+                solve_diverse_sc(inst, WIDE)
+        else:
+            assert solve_diverse_sc(inst, WIDE).knapsack == crossing
+        rows = [inst.utilities[v] for v in order]
+        if any(a == b for a, b in zip(rows, rows[1:])):
+            axes.add(_axis(inst)[0])
+    assert axes == {True, False}  # runs of identical voters on either axis
 
 
 # the table routes finish fast on numbers near their limits, each on the
