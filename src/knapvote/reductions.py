@@ -244,6 +244,9 @@ def from_ersp(universe_size: int, sets: SetSystem, d: int, k: int) -> ReductionO
 
     (1 + c) <= 2**c for every coverage count c, with equality only at
     c in {0, 1}, so the product reaches 2**(d*k) exactly for k disjoint sets.
+    For k past the m sets no k sets exist, and the threshold is
+    2**(d*(m + 1)): the product is at most 2**(d*m), so it is out of reach,
+    and its size follows the input, not k.
     """
     _int(universe_size, "universe_size")
     system = sets if isinstance(sets, SetSystem) else SetSystem(universe_size, sets)
@@ -275,7 +278,7 @@ def from_ersp(universe_size: int, sets: SetSystem, d: int, k: int) -> ReductionO
     return ReductionOutput(
         instance=instance,
         kind=Objective.FAIR,
-        threshold=2 ** (d * k),
+        threshold=2 ** (d * min(k, m + 1)),
         back_map={f"set{i}": ("set", i) for i in range(m)},
     )
 

@@ -11,7 +11,7 @@ knapsack tables on the shorter of two axes, which :func:`_axis` picks:
 over cost, entry p of a row is the most value within cost p, when
 min(B, Σcosts) <= U for U the total utility; over value, entry x is the
 least cost reaching value at least x, otherwise. :func:`_relax` is the only
-step that updates a row of the first three. The ib table walks back through
+step that updates a row of any of the four. The ib table walks back through
 one mask per item of the entries that item improved; the other three
 re-derive every choice from the stored rows through :func:`_step_back`.
 
@@ -30,7 +30,7 @@ bruteforce, then greedy, the inexact fallback.
 - :func:`solve_diverse_sc` - single-crossing recognition front end to the
   fixed-order table.
 - :func:`solve_diverse_fpt` - diverse objective for few voters, a DP over
-  subsets of the distinct voter rows.
+  subsets of the k distinct voter rows, for work of 3^k * m * (axis + 1).
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact totals of the
   distinct voter rows.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
@@ -351,46 +351,64 @@ def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None
     """Extend the knapsacks of ``src`` by a choice worth ``value`` at ``cost``
     into ``row``, keeping the better entry at each column.
 
-    The one update step of the ib, single-peaked and fixed-order tables. On
-    a value axis it is
+    The one update step of all four tables. On a value axis it is
     ``row[x] = min(row[x], src[max(x - value, 0)] + cost)``: a knapsack that
     reaches past x also reaches x. On a cost axis (``by_cost``) it is
     ``row[p] = max(row[p], src[p - cost] + value)`` for p >= cost; below the
     cost there is no source, and the entry stays. ``src`` may be ``row``
-    itself; every read sees it as it was before the call.
+    itself, row by row, when each row takes one choice; every read sees it
+    as it was before the call.
 
-    Either may also be a stack of rows, with ``value`` and ``cost`` one
-    choice for all or a column of one per source row. A stacked ``row``
-    takes its own source row, or the one ``src``; a single ``row`` takes the
-    best of a stacked ``src``. A stack of rows up to 512 columns wide is
-    relaxed in one pass, which saves a call per source row; a wider one a
-    source row at a time, which past that width is as fast or faster (a
-    one-pass gather costs more per entry than a slice) and copies no more
-    than a row.
+    ``row`` and ``src`` may be stacks of rows, and ``value`` and ``cost``
+    columns, one per candidate; the candidates broadcast as numpy arrays do.
+    With an axis more than ``row``, axis -2, they are choices, and each
+    entry takes the best of them. So a row takes the best of a stacked
+    ``src`` (sp-dp, the fixed-order table), a stacked row its own source row
+    or the one ``src``, and a stacked row the best of m choices of one
+    ``src``, each shift and add per choice or per (row, choice) (fpt).
+
+    A shift per candidate gathers its columns, by indexing from one ``src``
+    and by ``np.take_along_axis`` from a stack. Up to 512 columns a block is
+    relaxed in one pass, which saves a call per candidate. A wider one is
+    split along the leading axis of its stacked sources and shifts (a
+    stacked row's rows, else the choices) until each candidate is a slice:
+    past that width a slice is as fast or faster than a gather, and a call
+    copies no more than the rows it writes.
     """
     width = row.shape[-1]
-    if src.ndim > 1 and width > 512:
-        k = len(src)
-        values, costs = (np.broadcast_to(v, (k, 1))[:, 0] for v in (value, cost))
-        for r in range(k):
-            one = row[r] if row.ndim > 1 else row
-            _relax(one, src[r], values[r], costs[r], by_cost)
-        return
     if by_cost:
         shift, add, better = cost, value, np.maximum
     else:
         shift, add, better = value, cost, np.minimum
+    if width > 512 and max(src.ndim, np.ndim(shift)) > 1:
+        lead = np.broadcast_shapes(src.shape[:-1], np.shape(shift)[:-1])
+        depth = len(lead)
+
+        def pick(v, a: int):
+            """Entry a of v along the split axis if v has it, one number as a scalar."""
+            v = v[(..., a) + (slice(None),) * depth] if np.ndim(v) > depth else v
+            return v[0] if np.shape(v) == (1,) else v
+
+        by_row = row.ndim > 1 and np.ndim(add) <= depth + 1
+        for a in range(lead[0]):
+            one = row[a] if by_row else row
+            _relax(one, pick(src, a), pick(value, a), pick(cost, a), by_cost)
+        return
 
     def join(cols: slice, cand: np.ndarray) -> None:
         if cand.ndim > row.ndim:
-            cand = better.reduce(cand, axis=0)
+            cand = better.reduce(cand, axis=-2)
         better(row[..., cols], cand, out=row[..., cols])
 
     if np.ndim(shift):
-        # a shift per source row: each gathers its own columns
+        # a shift per candidate row: each gathers its own columns
         cols = np.arange(width) - np.minimum(shift, width).astype(np.intp)
-        cand = np.take_along_axis(src, np.maximum(cols, 0), axis=-1) + add
-        join(slice(None), np.where(cols >= 0, cand, row) if by_cost else cand)
+        at = np.maximum(cols, 0)
+        cand = (src[at] if src.ndim == 1 else np.take_along_axis(src, at, axis=-1)) + add
+        if by_cost:
+            keep = row if cand.ndim == row.ndim else row[..., None, :]
+            np.copyto(cand, keep, where=cols < 0)
+        join(slice(None), cand)
         return
     cut = min(shift, width)
     join(slice(cut, None), src[..., : width - cut] + add)
@@ -405,14 +423,14 @@ def _step_back(
     """Undo one table step that set an entry to ``target`` at x.
 
     Choice k of source ``rows[s]`` is worth ``values[s, k]`` at
-    ``costs[s, k]`` (both broadcast, costs as the table holds them). On a
-    value axis it reads column ``x - values[s, k]``, or column 0 below it, as
-    :func:`_relax` does, and adds the cost; on a cost axis (``by_cost``) it
-    reads column ``x - costs[s, k]``, where below column 0 there is no
-    source, and adds the value. Of the (s, k) that give the target, the
-    lowest s wins, then the lowest k: no item first where source 0 is the
-    empty row, then the lowest source, then the lowest item. Returns s, k and
-    the column of ``rows[s]`` that was read.
+    ``costs[s, k]`` (both broadcast). On a value axis it reads column
+    ``x - values[s, k]``, or column 0 below it, as :func:`_relax` does, and
+    adds the cost; on a cost axis (``by_cost``) it reads column
+    ``x - costs[s, k]``, where below column 0 there is no source, and adds
+    the value. Of the (s, k) that give the target, the lowest s wins, then
+    the lowest k: no item first where source 0 is the empty row, then the
+    lowest source, then the lowest item. Returns s, k and the column of
+    ``rows[s]`` that was read.
     """
     shifts, adds = (costs, values) if by_cost else (values, costs)
     cols, adds = np.broadcast_arrays(x - shifts, adds)
@@ -697,10 +715,11 @@ def solve_diverse_fpt(
     only overcount cost, so the optimal value and the least cost at that value
     are both exact. Each row of the table runs over cost (best value within
     that cost) or over value (least cost reaching it), on the axis
-    :func:`_axis` picks; the work is 3^k * m * (axis + 1). The walk back
-    re-derives each block from the stored rows; on equal value and cost, no
-    item wins over an item, then the lowest source set, then the lowest item
-    index.
+    :func:`_axis` picks. One :func:`_relax` call per source set S updates
+    every target T, taking the best item a at a's cost and utility over the
+    block T - S; the work is 3^k * m * (axis + 1). The walk back re-derives
+    each block from the stored rows; on equal value and cost, no item wins
+    over an item, then the lowest source set, then the lowest item index.
     """
     opts = options or DEFAULT_OPTIONS
     n = instance.num_voters
@@ -711,10 +730,9 @@ def solve_diverse_fpt(
     rows, mults = _collapse_voters(instance)
     k = len(rows)
     m = instance.num_items
-    costs = instance.costs
-    by_cost, width, _ = _axis(instance)
+    _, width, _ = _axis(instance)
     _check_cells(f"subset DP over {k} distinct voter rows", 3**k * m * width, opts)
-    empty, none, limit, _ = _empty_row(instance)
+    empty, _, limit, by_cost = _empty_row(instance)
     full = (1 << k) - 1
     # val[T][a]: item a's utility summed over every voter of the rows in T
     vdt = _int_dtype(instance.total_utility())
@@ -722,47 +740,28 @@ def solve_diverse_fpt(
     for t in range(1, full + 1):
         r = (t & -t).bit_length() - 1
         val[t] = val[t & (t - 1)] + mults[r] * np.array(rows[r], dtype=vdt)
-    # table[S][p]: by cost, the best value covering S within cost p; by value,
-    # minus the least cost covering S with value at least p (both maximize)
-    table = np.tile(empty if by_cost else -empty, (full + 1, 1))
-    axis = np.arange(width)
-    if by_cost:
-        shift = np.array([min(c, width) for c in costs])
-        src = axis - shift[:, None]
-        fits = src >= 0
-        src[~fits] = 0
-    else:
-        neg_costs = -np.array(costs, dtype=empty.dtype)[:, None]
-    step = shift if by_cost else neg_costs.T  # each item's cost, as stored
+    costs = np.array(instance.costs, dtype=_int_dtype(max(instance.costs)))
+    table = np.tile(empty, (full + 1, 1))  # table[S]: the knapsacks covering S
+    sets = np.arange(full + 1)
     for s in range(full):
         if s and not s & 1:
             continue  # sorted by lowest row, an optimal split covers row 0 first
-        row = table[s]
-        if by_cost:
-            shifted = np.where(fits, row[src], none)
+        # the targets: s, its lowest free row and any other free rows
         free = full & ~s
         low = free & -free
         rest = free ^ low
-        sub = rest
-        while True:
-            t = s | low | sub
-            if by_cost:
-                cand = shifted + val[t ^ s][:, None]
-            else:
-                cand = row[np.maximum(axis - val[t ^ s][:, None], 0)] + neg_costs
-            np.maximum(table[t], cand.max(axis=0), out=table[t])
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    last = table[full][None]
-    p, _ = _optimum(last if by_cost else -last, limit, by_cost)
+        ts = s | low | sets[sets & rest == sets]
+        block = table[ts]
+        _relax(block, table[s], val[ts ^ s][:, :, None], costs[:, None], by_cost)
+        table[ts] = block
+    p, _ = _optimum(table[full][None], limit, by_cost)
     items: set[int] = set()
     t = full
     while table[t][p] != table[0][p]:  # every set starts as row 0, never written
         # t's sources in the loop's order: those whose lowest free row is in t
         srcs = [s for s in (0, *range(1, t, 2)) if s & t == s and ~s & (s + 1) & t]
         blocks = val[t ^ np.array(srcs)]
-        i, a, p = _step_back(table[srcs], p, table[t][p], blocks, step, by_cost)
+        i, a, p = _step_back(table[srcs], p, table[t][p], blocks, costs, by_cost)
         items.add(a)
         t = srcs[i]
     return make_solution(instance, Objective.DIVERSE, sorted(items), "fpt")

@@ -239,6 +239,26 @@ def best_ordered_subset(instance: Instance, voter_order: Sequence[int]):
     return -best[0], best[1], best[2]
 
 
+def relax_by_definition(rows, choices, by_cost: bool) -> list[list[int]]:
+    """Each table row after one knapsack step, entry by entry: ``rows[r]``
+    keeps the better of itself and every (src, value, cost) in
+    ``choices[r]``. Over cost (``by_cost``), entry p takes the most of
+    src[p - cost] + value for p >= cost; over value, entry x takes the
+    least of src[max(x - value, 0)] + cost."""
+    out = []
+    for row, cands in zip(rows, choices):
+        new = list(row)
+        for x in range(len(row)):
+            for src, value, cost in cands:
+                if by_cost:
+                    if x >= cost:
+                        new[x] = max(new[x], src[x - cost] + value)
+                else:
+                    new[x] = min(new[x], src[max(x - value, 0)] + cost)
+        out.append(new)
+    return out
+
+
 def ordered_table_by_enumeration(
     instance: Instance, voter_order: Sequence[int]
 ) -> list[list[int]]:

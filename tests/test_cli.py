@@ -8,6 +8,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -323,6 +324,23 @@ def test_generate_all_reductions(run, tmp_path):
         meta = json.loads(out)
         assert meta["threshold"].isdigit()
         assert json.loads(out_path.read_text())["voters"] >= 1
+
+
+def test_generate_ersp_past_its_sets_is_quick(run, tmp_path):
+    # with k past the m sets no k disjoint sets exist, and the threshold is
+    # 2^(d(m + 1)), out of reach, not 2^(dk), whose digits grow with k
+    payload = {"universe_size": 3, "sets": [[0, 1, 2]], "d": 3, "k": 10**9}
+    params = params_file(tmp_path, "ersp", payload)
+    out_path = tmp_path / "ersp-inst.json"
+    start = time.perf_counter()
+    code, out, _ = run(
+        "generate", "--reduction", "ersp", "--params", params, "--out", str(out_path)
+    )
+    assert (code, time.perf_counter() - start < 1) == (0, True)
+    threshold = json.loads(out)["threshold"]
+    assert threshold == str(2**6)
+    code, _, _ = run("solve", "--objective", "fair", "--threshold", threshold, str(out_path))
+    assert code == 4  # one set: no packing of 10^9
 
 
 def test_generate_rejects_bad_params(run, tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knapvote import (
     GuardrailError,
@@ -40,7 +40,7 @@ from knapvote import (
     solve_ordered_diverse_dp,
 )
 from knapvote import solvers
-from knapvote.solvers import _axis, _denser_fair
+from knapvote.solvers import _axis, _denser_fair, _relax
 
 from conftest import (
     grouped_instance,
@@ -56,6 +56,7 @@ from helpers import (
     connected_optimum,
     greedy_by_definition,
     ordered_table_by_enumeration,
+    relax_by_definition,
     subset_value,
 )
 
@@ -1326,9 +1327,10 @@ def test_fpt_counts_its_axis_before_building_a_row():
 
 @pytest.mark.parametrize("by_cost", (True, False))
 def test_wide_tables_relax_a_row_at_a_time(by_cost):
-    # past 512 columns a stack of rows is relaxed one source row at a time,
-    # so sp-dp and the fixed-order table peak at their own rows plus a few,
-    # where one pass over 8 stacked rows would copy the stack several times
+    # past 512 columns a stack of rows is relaxed one source row, target row
+    # or choice at a time, so sp-dp, the fixed-order table and fpt peak at
+    # their own rows plus a few, where one pass over 8 stacked rows, or over
+    # 8 items for each target set, would copy the stack several times
     m, n, size = 8, 2, 2**14
     if by_cost:
         rows = [[size * (m - abs(j - v)) for j in range(m)] for v in range(n)]
@@ -1343,14 +1345,108 @@ def test_wide_tables_relax_a_row_at_a_time(by_cost):
     for solve, table_rows in (
         (lambda: solve_diverse_sp_dp(inst, tuple(range(m)), WIDE), m + 1),
         (lambda: solve_ordered_diverse_dp(inst, tuple(range(n)), WIDE), n + 1 + m),
+        (lambda: solve_diverse_fpt(inst, WIDE), 2**n + m),  # n distinct rows
     ):
         tracemalloc.start()
         try:
-            solve()
+            sol = solve()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < (table_rows + 4) * row_bytes
+    assert sol.method == "fpt"
+    _assert_agrees(sol, inst, Objective.DIVERSE)
+
+
+# the call shapes of the four tables: a single row from a single src (ib);
+# a single row from the best of a stacked src (sp-dp, the fixed-order
+# table's finished rows); stacked rows from their own source rows, or from
+# one src (its running rows); and stacked rows from the best of several
+# choices of one src (fpt). value and cost are each a scalar, one number
+# per target row or per choice, or one per (target row, choice).
+RELAX_FORMS = {
+    "one": ("scalar",),
+    "best of a stack": ("scalar", "choice"),
+    "own rows": ("scalar", "target"),
+    "one src": ("scalar",),
+    "choices": ("scalar", "choice", "target choice"),
+}
+STACKED_ROW = ("own rows", "one src", "choices")
+STACKED_SRC = ("own rows", "best of a stack")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relax_matches_its_definition(data):
+    by_cost = data.draw(st.booleans(), label="by_cost")
+    big = data.draw(st.booleans(), label="Python ints past 2^62")
+    shape = data.draw(st.sampled_from(list(RELAX_FORMS)), label="shape")
+    width = data.draw(st.integers(1, 9) | st.integers(513, 516), label="width")
+    forms = data.draw(st.tuples(*[st.sampled_from(RELAX_FORMS[shape])] * 2), label="forms")
+    # without a number per (target, choice), stacked rows from one src
+    # would take one candidate row each, not choices
+    assume(shape != "choices" or "target choice" in forms)
+    stacked = shape in STACKED_ROW
+    targets = data.draw(st.integers(1, 3), label="targets") if stacked else 1
+    many = shape in ("best of a stack", "choices")
+    choices = data.draw(st.integers(1, 3), label="choices") if many else 1
+    alias = shape in ("one", "own rows") and data.draw(st.booleans(), label="src is row")
+    rng = data.draw(st.randoms(use_true_random=False))
+    dt = object if big else np.int64
+    base = 2**70 if big else 0
+
+    def line():
+        return [base + rng.randint(-(10**6), 10**6) for _ in range(width)]
+
+    def numbers(form, shifts):
+        """Shifts (value on a value axis, cost on a cost axis) or adds."""
+        def one():
+            if not shifts:
+                return base + rng.randint(0, 10**6)
+            return 2**70 if big and rng.random() < 0.1 else rng.randint(0, width + 2)
+
+        if form == "scalar":
+            return one()
+        if form == "target choice":
+            return [[one() for _ in range(choices)] for _ in range(targets)]
+        return [one() for _ in range(targets if form == "target" else choices)]
+
+    def entry(form, nums, r, a):
+        """The number of choice a of target row r."""
+        return {
+            "scalar": lambda: nums,
+            "target": lambda: nums[r],
+            "choice": lambda: nums[a],
+            "target choice": lambda: nums[r][a],
+        }[form]()
+
+    rows = [line() for _ in range(targets)]
+    # a source row per target row (own rows) or per choice (best of a stack)
+    srcs = rows if alias else [line() for _ in range(targets * choices)]
+    value, cost = numbers(forms[0], not by_cost), numbers(forms[1], by_cost)
+    want = relax_by_definition(
+        rows,
+        [
+            [
+                (
+                    srcs[{"own rows": r, "best of a stack": a}.get(shape, 0)],
+                    entry(forms[0], value, r, a),
+                    entry(forms[1], cost, r, a),
+                )
+                for a in range(choices)
+            ]
+            for r in range(targets)
+        ],
+        by_cost,
+    )
+    row = np.array(rows if stacked else rows[0], dtype=dt)
+    src = row if alias else np.array(srcs if shape in STACKED_SRC else srcs[0], dtype=dt)
+    args = [
+        np.array(nums, dtype=dt)[..., None] if form != "scalar" else nums
+        for form, nums in zip(forms, (value, cost))
+    ]
+    _relax(row, src, *args, by_cost)
+    assert row.tolist() == (want if stacked else want[0])
 
 
 # the search routes finish fast on huge numbers and agree with brute force:
