@@ -35,14 +35,16 @@ bruteforce, then greedy, the inexact fallback.
   distinct voter rows.
 - :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
   for the diverse objective and for the logarithm of the fair objective. The
-  chains of a block of seeds advance in lockstep as arrays, identical sets
-  merge after each step in one ``np.unique`` call, and floats pick each
-  step's item unless several are within a margin of the best, when the exact
-  integer tests decide. Fair terms come from a table built once per solve
-  when it holds at most 2^15 entries, and a chain is dropped once a
-  submodular bound shows it cannot beat the best finished set; neither
-  changes a pick or the answer. Fair densities are compared as logs once a
-  cost reaches 2^1000, near the end of float range.
+  chains of a block of seeds advance in lockstep as arrays, a step sums each
+  item's terms a group of slots at a time over a zero-padded items x span
+  grid into items x chains (2^15 // max(items, distinct rows) chains a
+  block), identical sets merge after each step in one ``np.unique`` call,
+  and floats pick each step's item unless several are within a margin of the
+  best, when the exact integer tests decide. Fair terms come from a table
+  built once per solve when it holds at most 2^15 entries, and a chain is
+  dropped once a submodular bound shows it cannot beat the best finished
+  set; neither changes a pick or the answer. Fair densities are compared as
+  logs once a cost reaches 2^1000, near the end of float range.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -347,6 +349,10 @@ def _empty_row(
     return row, inf, limit, False
 
 
+# candidates that a stacked row of _relax takes at a time
+_RELAX_CHUNK = 2**16
+
+
 def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None:
     """Extend the knapsacks of ``src`` by a choice worth ``value`` at ``cost``
     into ``row``, keeping the better entry at each column.
@@ -369,11 +375,15 @@ def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None
 
     A shift per candidate gathers its columns, by indexing from one ``src``
     and by ``np.take_along_axis`` from a stack. Up to 512 columns a block is
-    relaxed in one pass, which saves a call per candidate. A wider one is
-    split along the leading axis of its stacked sources and shifts (a
-    stacked row's rows, else the choices) until each candidate is a slice:
-    past that width a slice is as fast or faster than a gather, and a call
-    copies no more than the rows it writes.
+    relaxed in one pass, which saves a call per candidate, except that a
+    stacked row of more than ``_RELAX_CHUNK`` (2^16) candidates takes its
+    rows in chunks of about that many, so that no copy grows with its rows;
+    a shifted ``src`` that no row has its own of (fpt on a cost axis) is
+    gathered once for all chunks. A wider block is split along the leading
+    axis of its stacked sources and shifts (a stacked row's rows, else the
+    choices) until each candidate is a slice: past that width a slice is
+    as fast or faster than a gather, and a call copies no more than the
+    rows it writes.
     """
     width = row.shape[-1]
     if by_cost:
@@ -395,26 +405,53 @@ def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None
             _relax(one, pick(src, a), pick(value, a), pick(cost, a), by_cost)
         return
 
-    def join(cols: slice, cand: np.ndarray) -> None:
+    def join(target: np.ndarray, cand: np.ndarray) -> None:
         if cand.ndim > row.ndim:
             cand = better.reduce(cand, axis=-2)
-        better(row[..., cols], cand, out=row[..., cols])
+        better(target, cand, out=target)
 
     if np.ndim(shift):
         # a shift per candidate row: each gathers its own columns
-        cols = np.arange(width) - np.minimum(shift, width).astype(np.intp)
-        at = np.maximum(cols, 0)
-        cand = (src[at] if src.ndim == 1 else np.take_along_axis(src, at, axis=-1)) + add
+        args = (src, shift, add)
+        if row.ndim > 1 and np.broadcast(*args).size > _RELAX_CHUNK:
+            # a chunk of the rows at a time, with the parts of src, shift
+            # and add that are per row; a src and shift that no row has its
+            # own of are gathered once
+            nd = max(row.ndim, *map(np.ndim, args))
+            own = [np.ndim(v) == nd for v in args]
+            step = max(1, _RELAX_CHUNK * len(row) // np.broadcast(*args).size)
+            fixed = None if own[0] or own[1] else _shifted(src, shift, width)
+            for lo in range(0, len(row), step):
+                parts = [v[lo : lo + step] if o else v for v, o in zip(args, own)]
+                cols, cand = fixed or _shifted(parts[0], parts[1], width)
+                cand = cand + parts[2]
+                target = row[lo : lo + step]
+                if by_cost:
+                    keep = target if cand.ndim == row.ndim else target[..., None, :]
+                    np.copyto(cand, keep, where=cols < 0)
+                join(target, cand)
+            return
+        cols, cand = _shifted(src, shift, width)
+        cand = cand + add
         if by_cost:
             keep = row if cand.ndim == row.ndim else row[..., None, :]
             np.copyto(cand, keep, where=cols < 0)
-        join(slice(None), cand)
+        join(row, cand)
         return
     cut = min(shift, width)
-    join(slice(cut, None), src[..., : width - cut] + add)
+    join(row[..., cut:], src[..., : width - cut] + add)
     if not by_cost:
         # column 0 was written above only when cut is 0, and this is empty
-        join(slice(None, cut), src[..., :1] + add)
+        join(row[..., :cut], src[..., :1] + add)
+
+
+def _shifted(src: np.ndarray, shift, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a shift per candidate row, the column of ``src`` that each
+    candidate entry reads (below 0 on a cost axis where there is none), and
+    ``src`` gathered there, at column 0 in place of those below it."""
+    cols = np.arange(width) - np.minimum(shift, width).astype(np.intp)
+    at = np.maximum(cols, 0)
+    return cols, src[at] if src.ndim == 1 else np.take_along_axis(src, at, axis=-1)
 
 
 def _step_back(
@@ -930,14 +967,16 @@ def _log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log(log(1 + u / t)) for Python ints u, t >= 1, as floats that err by
-    a few ulps of the result, however small the ratio.
+    """log(log(1 + u / t)) for Python ints u >= 0 and t >= 1, as floats that
+    err by a few ulps of the result, however small the ratio; -inf at u = 0.
 
     Below 2^-1000, where log1p(u / t) would be a subnormal float of few
     digits, it is log u - log t, which errs by under u / t.
     """
 
     def one(a: int, b: int) -> float:
+        if not a:
+            return -math.inf
         try:
             q = a / b
         except OverflowError:
@@ -947,6 +986,16 @@ def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return math.log(math.log1p(q))
 
     return np.frompyfunc(one, 2, 1)(u, t).astype(float)
+
+
+def _slot_sum(groups: Iterator[np.ndarray]) -> np.ndarray:
+    """Terms summed per item and chain: each group of slots (items x slots x
+    chains) is summed over its slots, and the groups are added in order."""
+    sums = (group[:, 0] if group.shape[1] == 1 else group.sum(axis=1) for group in groups)
+    total = next(sums)
+    for part in sums:
+        total += part
+    return total
 
 
 def _seed_blocks(
@@ -979,11 +1028,18 @@ def solve_greedy(
     The chains of a block of seeds advance in lockstep, one pick per step,
     as arrays with one column per chain: each distinct voter row's utility
     for the chain's set, its cost and its chosen items. A step scores every
-    item for every chain in one pass over the nonzero utilities, summed per
-    item. For ib and diverse the density is the score's gain over the item's
-    cost; for fair it is the ratio of the new product to the current one, to
-    the power 1 / cost. Floats (the log of the density, and for fair the sum
-    of mult * log1p(u / (t + 1)) over cost) pick out the items within 1e-9
+    item for every chain from the nonzero utilities, held item by item in an
+    items x span grid (span the most rows that value one item) padded with
+    (row 0, utility 0, mult 0), which adds 0 to any item's terms. It sums
+    the terms into an items x chains array a group of slots at a time, as
+    many as keep items x slots x chains within 2^15 entries: one slot when
+    the block is full, more as its chains finish or merge. ib gains do not
+    depend on the chain and are summed once per solve; a diverse gain is
+    the ib gain less mult * min(u, t) over the item's rows, for t the row's
+    total. For ib and diverse the density is the score's gain over the
+    item's cost; for fair it is the ratio of the new product to the current
+    one, to the power 1 / cost. Floats (the log of the density, and for fair
+    the sum of mult * log1p(u / (t + 1)) over cost) pick out the items within 1e-9
     (1 + its magnitude) of each chain's best. Their rounding error is far
     inside that margin, so when one item is inside, it is the pick; when
     several are, the exact integer tests decide, in index order, and the
@@ -998,10 +1054,11 @@ def solve_greedy(
     - Fair terms from a table. On int64 totals, the term
       mult * log1p(u / (t + 1)) of each nonzero at every total t that its
       row can reach (0 up to the row's sum) is computed once per solve, by
-      the same float operations as in a step, and a step reads it. The
-      table is built only when it has at most 2^15 entries, one block;
-      past that a step computes its terms, so time and memory never grow
-      with the utilities. Either way every float is the same.
+      the same float operations as in a step, and a step reads it; every
+      pad reads one shared 0.0 after them. The table is built only when it
+      has at most 2^15 entries besides that 0.0, one block's worth; past
+      that a step computes its terms, so time and memory never grow with
+      the utilities. Either way every float is the same.
     - A bound. Before a step picks, a chain is dropped when no set it can
       reach beats the best finished set so far. Gains only shrink as a set
       S grows (ib is additive, and diverse and the logarithm of fair are
@@ -1026,13 +1083,17 @@ def solve_greedy(
       first chain of each set. The chains' order never changes a pick or
       the ranking, which :func:`_better` decides on distinct sets.
 
-    Blocks hold about 2^15 chain-by-nonzero entries. Totals and costs are
-    int64 unless a sum could pass 2^62, and Python ints (``object``) then.
-    Once a cost reaches 2^1000, near the end of float range (about 2^1024),
-    fair densities are compared as logs, log(summed terms) - log(cost), as
-    those of ib and diverse always are; each term is taken as a log, so that
-    none is lost to a subnormal float, and the exact test takes such costs
-    straight to :func:`_log_greater`.
+    A block holds 2^15 // max(items, distinct rows) chains, so neither a
+    step's items x chains arrays nor the chains' totals pass 2^15 entries.
+    Totals and costs are int64 unless a sum could pass 2^62, and Python ints
+    (``object``) then. Once a cost reaches 2^1000, near the end of float
+    range (about 2^1024), fair densities are compared as logs, log(summed
+    terms) - log(cost), as those of ib and diverse always are; each term is
+    taken as a log (-inf at a pad), so that none is lost to a subnormal
+    float, and the exact test takes such costs straight to
+    :func:`_log_greater`. Each item's largest log is found over all its
+    slots at once, so there a block holds 2^15 // (items * span) chains, or
+    fewer for the rows.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -1049,38 +1110,50 @@ def solve_greedy(
     dt = _int_dtype(ubound + 2 * sum(costs))
     # ib and diverse bounds: room times a gain, plus a score
     bdt = _int_dtype((budget + 1) * (ubound + 1))
-    # the nonzeros item by item: row, utility and mult, one entry per row
+    # the nonzeros item by item, as items x span grids of row, utility and
+    # mult, padded to the longest column with (row 0, utility 0, mult 0),
+    # which add 0 to every item's terms
     cols = np.array([j for j in range(m) if nz[j]], dtype=np.intp)
-    sizes = np.array([len(nz[j]) for j in cols], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    entries = [e for j in cols for e in nz[j]]
-    er = np.array([e[0] for e in entries], dtype=np.intp)
-    eu = np.array([e[1] for e in entries], dtype=dt)[:, None]
-    em = np.array([e[2] for e in entries], dtype=np.int64)[:, None]
+    span = max((len(nz[j]) for j in cols), default=0)
+    pad = [(0, 0, 0)]
+    grid = np.array([nz[j] + pad * (span - len(nz[j])) for j in cols], dtype=object)
+    grid = grid.reshape(len(cols), span, 3)
+    er = grid[..., 0].astype(np.intp)
+    eu = grid[..., 1].astype(dt)
+    em = grid[..., 2].astype(np.int64)
+    real = em > 0
     util = np.zeros((k, m), dtype=dt)  # util[r, j]: row r's utility for item j
-    util[er, np.repeat(cols, sizes)] = eu[:, 0]
+    util[er[real], cols[np.nonzero(real)[0]]] = eu[real]
     c = np.array(costs, dtype=dt)
     cc = c[cols][:, None]
     # fair densities from a cost of 2^1000 on, near the end of float range,
     # are compared as logs, as those of ib and diverse always are
     log_keys = fair and max(costs) >= 2**1000
     log_cc = _log(cc) if log_keys or not fair else None
-    log_em = np.log(em) if log_keys else None
+    log_em = _log(em)[:, :, None] if log_keys else None  # -inf at a pad
     mu = np.array(mults, dtype=float if fair else dt)
     bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
-    width = max(1, 2**15 // max(1, len(er)))
+    # a step's arrays are items x chains (span x items x chains on log keys)
+    # and distinct rows x chains
+    width = max(1, 2**15 // max(1, len(cols) * (span if log_keys else 1), k))
     best = (_score(kind, [0] * k, mults), 0, ())  # the empty knapsack
     best_log = 0.0  # fair: the largest float log score seen
+    # each item's ib gain, from which its diverse gains are taken
+    gains = (em * eu).sum(axis=1)[:, None]
+    weighted = max(mults) > 1  # else every real mult is 1, and a pad's term is 0
     table = None
     if fair and dt is not object:
-        # nonzero e's terms at totals 0 .. its row's sum, from table[off[e]]
-        reach = util.sum(axis=1)[er] + 1
+        # nonzero e's terms at totals 0 .. its row's sum, from table[off[e]];
+        # every pad reads the one 0.0 after them, as take clips its index
+        reach = util.sum(axis=1)[er[real]] + 1
         if sum(reach.tolist()) <= 2**15:
-            off = np.cumsum(reach) - reach
-            t = np.arange(reach.sum()) - np.repeat(off, reach) + 1
-            table = _log1p_ratio(np.repeat(eu[:, 0], reach), t)
-            table *= np.repeat(em[:, 0], reach)
-            off = off[:, None]
+            start = np.cumsum(reach) - reach
+            t = np.arange(reach.sum()) - np.repeat(start, reach) + 1
+            table = _log1p_ratio(np.repeat(eu[real], reach), t)
+            table *= np.repeat(em[real], reach)
+            table = np.append(table, 0.0)
+            off = np.full(er.shape, len(table) - 1)
+            off[real] = start
 
     def log_score(totals: np.ndarray) -> np.ndarray:
         """The float log of the fair score of each chain."""
@@ -1147,41 +1220,52 @@ def solve_greedy(
             picks[b] = (p, after, before, costs[j])
         return [picks[b][0] for b in range(near.shape[1])]
 
+    def fair_terms(totals: np.ndarray, slots: slice) -> np.ndarray:
+        """mult * log1p(u / (t + 1)) of each item's slots, for each chain."""
+        at = totals[er[:, slots]]
+        if table is not None:
+            at += off[:, slots, None]
+            return table.take(at, mode="clip")
+        at += 1
+        terms = _log1p_ratio(eu[:, slots, None], at)
+        terms *= em[:, slots, None]
+        return terms
+
+    def covered(totals: np.ndarray, slots: slice) -> np.ndarray:
+        """mult * min(u, t) of each item's slots, for each chain: the part of
+        u that the chain's total already covers."""
+        at = totals[er[:, slots]]
+        np.minimum(at, eu[:, slots, None], out=at)
+        if weighted:
+            at *= em[:, slots, None]
+        return at
+
     def advance(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
         """Run a block of chains to their ends, ranking each as it stops."""
         while True:
             room = budget - cost
             ok = ~chosen[cols] & (cc <= room)
-            # the chain-by-nonzero arrays, the largest, are updated in place
-            if fair:
-                t = totals[er]
-                g = None
-                if log_keys:
-                    # the log of each item's summed terms, each term taken
-                    # as a log, so that none is a subnormal float
-                    logs = _log_log1p_ratio(eu, t + 1) + log_em
-                    peak = np.maximum.reduceat(logs, starts)
-                    with np.errstate(under="ignore"):
-                        rest = np.exp(logs - np.repeat(peak, sizes, axis=0))
-                    key = peak + np.log(np.add.reduceat(rest, starts)) - log_cc
-                else:
-                    if table is None:
-                        t += 1
-                        terms = _log1p_ratio(eu, t)
-                        terms *= em
-                    else:
-                        t += off
-                        terms = table[t]
-                    key = np.add.reduceat(terms, starts) / cc
+            # each item's terms are summed a group of slots at a time, as
+            # many as keep items x slots x chains within 2^15 entries
+            step = max(1, 2**15 // (len(cols) * len(cost)))
+            groups = [slice(lo, lo + step) for lo in range(0, span, step)]
+            g = None
+            if log_keys:
+                # the log of each item's summed terms, each term taken as a
+                # log, so that none is a subnormal float; the block is small
+                # enough for every slot at once
+                logs = _log_log1p_ratio(eu[:, :, None], totals[er] + 1) + log_em
+                peak = logs.max(axis=1)
+                with np.errstate(under="ignore"):
+                    rest = np.exp(logs - peak[:, None])
+                key = peak + np.log(rest.sum(axis=1)) - log_cc
+            elif fair:
+                key = _slot_sum(fair_terms(totals, sl) for sl in groups) / cc
             else:
                 if diverse:
-                    terms = totals[er]
-                    np.subtract(eu, terms, out=terms)
-                    np.maximum(terms, 0, out=terms)
-                    terms *= em
+                    g = gains - _slot_sum(covered(totals, sl) for sl in groups)
                 else:
-                    terms = em * eu
-                g = np.broadcast_to(np.add.reduceat(terms, starts), ok.shape)
+                    g = np.broadcast_to(gains, ok.shape)
                 ok &= g > 0
                 key = _log(g) - log_cc
             key[~ok] = -math.inf

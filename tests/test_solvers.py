@@ -5,6 +5,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -601,7 +602,35 @@ def test_greedy_bound_on_random_instances(rng):
 # total of 10**400, round to equal floats.
 HUGE = 10**400
 
-GREEDY_CASES = EDGE_CASES + (
+# Skewed columns: one item valued by every voter and the others by one or
+# two, so that greedy pads all but one item's column; with duplicate voter
+# rows (mults above 1), and in the last case utilities past int64.
+SKEWED_CASES = (
+    make_instance(
+        [
+            [4, 2, 0, 0, 0, 3, 0],
+            [1, 0, 5, 0, 0, 0, 0],
+            [4, 2, 0, 0, 0, 3, 0],
+            [2, 0, 0, 6, 1, 0, 0],
+            [3, 0, 1, 0, 0, 0, 2],
+        ],
+        costs=[5, 1, 2, 3, 1, 2, 1],
+        budget=7,
+    ),
+    make_instance(
+        [[0, 1, 9, 0, 0], [2, 0, 9, 0, 0], [0, 0, 7, 3, 0], [0, 0, 7, 3, 0], [0, 0, 7, 3, 0],
+         [0, 0, 1, 0, 4]],
+        costs=[1, 1, 4, 2, 2],
+        budget=6,
+    ),
+    make_instance(
+        [[HUGE, 0, 0, 1], [0, 2, 0, 1], [0, 2, 0, 1], [0, 0, HUGE + 1, 2]],
+        costs=[3, 1, 2, 1],
+        budget=4,
+    ),
+)
+
+GREEDY_CASES = EDGE_CASES + SKEWED_CASES + (
     make_instance([[1, 3, 4, 1, 1], [0, 2, 0, 1, 1]], costs=[2, 3, 8, 3, 6], budget=20),
     make_instance(
         [[1, 0, 3, 0, 1], [0, 1, 0, 3, 0], [0, 1, 0, 1, 0]], costs=[1, 3, 2, 2, 1], budget=7
@@ -647,18 +676,47 @@ def test_greedy_matches_its_definition_at_every_seed_size(inst):
 
 
 def test_greedy_matches_its_definition_over_several_blocks_of_seeds():
-    # the chains advance a block of seeds at a time, each block about 2^15
-    # chain-by-nonzero entries; these 435 pairs of 30 items fill several
+    # the chains advance a block of seeds at a time, 2^15 // max(items,
+    # distinct rows) chains a block; these 1,600 or so pairs of 60 items,
+    # valued by 4 voters, fill three
     rng = random.Random(3)
-    rows = [[rng.randint(0, 9) for _ in range(30)] for _ in range(8)]
-    costs = [rng.randint(1, 6) for _ in range(30)]
-    inst = make_instance(rows, costs=costs, budget=sum(costs) // 6)
-    nonzeros = sum(u > 0 for row in rows for u in row)
+    rows = [[rng.randint(0, 9) for _ in range(60)] for _ in range(4)]
+    costs = [rng.randint(1, 6) for _ in range(60)]
+    inst = make_instance(rows, costs=costs, budget=10)
+    items = sum(any(row[j] for row in rows) for j in range(60))
     pairs = sum(a + b <= inst.budget for a, b in itertools.combinations(costs, 2))
-    assert pairs * nonzeros > 2 * 2**15  # at least two blocks
+    assert pairs > 2 * (2**15 // items)  # at least three blocks
     opts = SolveOptions(greedy_seed_size=2)
     for kind, label in KINDS:
         assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 2)
+
+
+@pytest.mark.parametrize(
+    "voters, items, density", ((40, 60, 1.0), (2000, 20, 0.15)), ids=("dense", "many voters")
+)
+def test_greedy_step_arrays_are_items_by_chains(voters, items, density):
+    # a block holds 2^15 // max(items, distinct rows) chains, and a step sums
+    # each item's terms a group of slots at a time into one items x chains
+    # array, so the step's arrays, the chains' totals and the exact tests'
+    # lists of tied totals peak at some 8 arrays of 2^15 entries. One items x
+    # span x chains array (span 40 when dense) would be 40, and 2^15 // items
+    # chains of 2,000 distinct rows' totals over 20
+    rng = random.Random(7)
+    rows = [
+        [rng.randint(1, 9) if rng.random() < density else 0 for _ in range(items)]
+        for _ in range(voters)
+    ]
+    costs = [rng.randint(1, 9) for _ in range(items)]
+    inst = make_instance(rows, costs=costs, budget=sum(costs) // 10)
+    opts = SolveOptions(greedy_seed_size=2)  # 1,770 or 190 pairs
+    tracemalloc.start()
+    try:
+        sol = solve_greedy(inst, Objective.DIVERSE, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * 2**15
+    assert sol.total_cost <= inst.budget
 
 
 def test_fair_greedy_time_does_not_grow_with_the_utilities():
@@ -844,6 +902,22 @@ def test_fair_greedy_takes_costs_past_float_range(factor):
             opts = SolveOptions(greedy_seed_size=size)
             expected = greedy_by_definition(inst, "fair", size)
             assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
+
+
+@pytest.mark.parametrize("inst", SKEWED_CASES, ids=range(len(SKEWED_CASES)))
+def test_fair_greedy_pads_skewed_columns_past_float_range(inst):
+    # greedy pads every column to the longest; with costs scaled past 2^1000
+    # a pad's log is -inf and adds nothing, as in the test above
+    factor = 2**1000
+    scaled = make_instance(
+        inst.utilities,
+        costs=[c * factor for c in inst.costs],
+        budget=inst.budget * factor + factor - 1,
+    )
+    for size in (1, 2, 3):
+        opts = SolveOptions(greedy_seed_size=size)
+        expected = greedy_by_definition(inst, "fair", size)
+        assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
 
 
 def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
@@ -1358,6 +1432,39 @@ def test_wide_tables_relax_a_row_at_a_time(by_cost):
     _assert_agrees(sol, inst, Objective.DIVERSE)
 
 
+@pytest.mark.parametrize("by_cost", (True, False), ids=("cost axis", "value axis"))
+def test_fpt_relaxes_target_rows_in_chunks(by_cost):
+    # with 8 distinct voters and 29 items a source set has up to 2^7 target
+    # rows, and one block of all of them would hold 2^7 * 29 candidate rows
+    # (16 MiB on the cost axis, 39 on the value axis); in chunks of about
+    # 2^16 candidates fpt peaks at its table, one block of target rows and a
+    # few chunks' arrays
+    rng = random.Random(5)
+    m = 29
+    if by_cost:
+        rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(8)]
+        costs, budget = [rng.randint(1, 40) for _ in range(m)], 500
+    else:
+        rows = [[0] * m for _ in range(8)]
+        for _ in range(334):
+            rows[rng.randrange(8)][rng.randrange(m)] += 1
+        costs, budget = [rng.randint(1000, 5000) for _ in range(m)], 10**6
+    inst = make_instance(rows, costs=costs, budget=budget)
+    axis, width, _ = _axis(inst)
+    assert axis is by_cost and width == (501 if by_cost else 335)
+    table_bytes = 2**8 * 8 * width
+    tracemalloc.start()
+    try:
+        sol = solve_diverse_fpt(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes + 6 * 8 * 2**16
+    # the knapsacks that fpt's one-target-at-a-time loop gave before _relax
+    expected = (10, 14, 20, 22, 28) if by_cost else (5, 13, 15, 18, 21, 27)
+    assert (sol.method, sol.knapsack) == ("fpt", expected)
+
+
 # the call shapes of the four tables: a single row from a single src (ib);
 # a single row from the best of a stacked src (sp-dp, the fixed-order
 # table's finished rows); stacked rows from their own source rows, or from
@@ -1387,7 +1494,7 @@ def test_relax_matches_its_definition(data):
     # would take one candidate row each, not choices
     assume(shape != "choices" or "target choice" in forms)
     stacked = shape in STACKED_ROW
-    targets = data.draw(st.integers(1, 3), label="targets") if stacked else 1
+    targets = data.draw(st.integers(1, 5), label="targets") if stacked else 1
     many = shape in ("best of a stack", "choices")
     choices = data.draw(st.integers(1, 3), label="choices") if many else 1
     alias = shape in ("one", "own rows") and data.draw(st.booleans(), label="src is row")
@@ -1445,7 +1552,11 @@ def test_relax_matches_its_definition(data):
         np.array(nums, dtype=dt)[..., None] if form != "scalar" else nums
         for form, nums in zip(forms, (value, cost))
     ]
-    _relax(row, src, *args, by_cost)
+    # a stacked row is relaxed in chunks of its rows, here of 1 to all of them
+    per = width * (choices if shape == "choices" else 1)  # candidates per row
+    chunk = per * data.draw(st.integers(1, targets), label="rows per chunk")
+    with mock.patch.object(solvers, "_RELAX_CHUNK", chunk):
+        _relax(row, src, *args, by_cost)
     assert row.tolist() == (want if stacked else want[0])
 
 
