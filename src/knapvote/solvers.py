@@ -39,12 +39,12 @@ bruteforce, then greedy, the inexact fallback.
   item's terms a group of slots at a time over a zero-padded items x span
   grid into items x chains (2^15 // max(items, distinct rows) chains a
   block), identical sets merge after each step in one ``np.unique`` call,
-  and floats pick each step's item unless several are within a margin of the
-  best, when the exact integer tests decide. Fair terms come from a table
-  built once per solve when it holds at most 2^15 entries, and a chain is
-  dropped once a submodular bound shows it cannot beat the best finished
-  set; neither changes a pick or the answer. Fair densities are compared as
-  logs once a cost reaches 2^1000, near the end of float range.
+  and log densities pick each step's item unless several are within a
+  margin of the best, when the exact integer tests decide. Fair terms come
+  from a table built once per solve when it holds at most 2^15 entries, and
+  a chain is dropped once a submodular bound, in logs, shows it cannot beat
+  the best finished set; neither changes a pick or the answer. Fair terms
+  are taken as logs once the total utility reaches 2^1000.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -55,6 +55,7 @@ import dataclasses
 import decimal
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -134,18 +135,8 @@ def _better(a: tuple, b: tuple) -> bool:
 
 def _collapse_voters(instance: Instance) -> tuple[list[tuple[int, ...]], list[int]]:
     """Distinct voter rows with multiplicities (objectives are row-separable)."""
-    rows: list[tuple[int, ...]] = []
-    mults: list[int] = []
-    index: dict[tuple[int, ...], int] = {}
-    for row in instance.utilities:
-        k = index.get(row)
-        if k is None:
-            index[row] = len(rows)
-            rows.append(row)
-            mults.append(1)
-        else:
-            mults[k] += 1
-    return rows, mults
+    count = Counter(instance.utilities)  # in order of first appearance
+    return list(count), list(count.values())
 
 
 def _sparse_columns(
@@ -184,7 +175,9 @@ def brute_force(
     that bound cannot beat the best set. The bound is an exact integer for ib
     and diverse, and a float bound on the logarithm for fair, which prunes
     only past a margin wider than its rounding error; scores are exact
-    integers throughout.
+    integers throughout. The search keeps one generator per set on the
+    current path, each yielding its children in turn, so its depth is not
+    bound by the interpreter's recursion limit.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -211,7 +204,9 @@ def brute_force(
     best: tuple = (-1, 0, ())  # below every score, so the empty set replaces it
     log_best = -math.inf
 
-    def visit(cands: list[int], cost: int, score: int) -> None:
+    def visit(cands: list[int], cost: int, score: int) -> Iterator[tuple]:
+        """Rank the node S = sel, then yield each child's (candidates, cost,
+        score) with the totals and sel set to the child, restoring them after."""
         nonlocal best, log_best
         if score > best[0] or score == best[0] and cost <= best[1]:
             cand = (score, cost, tuple(sorted(sel)))
@@ -285,19 +280,27 @@ def brute_force(
                     if u > totals[i]:
                         undo.append((i, totals[i]))
                         totals[i] = u
-                visit(rest, cost + costs[j], score + after - before)
+                yield rest, cost + costs[j], score + after - before
                 for i, old in undo:
                     totals[i] = old
             else:
                 for i, u, _ in nz[j]:
                     totals[i] += u
                 child = score * after // before if fair else score + after - before
-                visit(rest, cost + costs[j], child)
+                yield rest, cost + costs[j], child
                 for i, u, _ in nz[j]:
                     totals[i] -= u
             sel.pop()
 
-    visit(list(range(m)), 0, _score(kind, totals, mults))
+    # a path of generators in place of recursion, so that depth is not bound
+    # by the interpreter's stack
+    path = [visit(list(range(m)), 0, _score(kind, totals, mults))]
+    while path:
+        node = next(path[-1], None)
+        if node is None:
+            path.pop()
+        else:
+            path.append(visit(*node))
     return make_solution(instance, kind, best[2], "bruteforce")
 
 
@@ -305,25 +308,22 @@ def brute_force(
 # value tables
 
 
-def _axis(instance: Instance, span: Optional[int] = None) -> tuple[bool, int, int]:
+def _axis(instance: Instance) -> tuple[bool, int, int]:
     """Whether a table runs over cost, its width, and the limit.
 
     The limit is the budget clamped to Σcosts. A table runs over cost, with
-    columns 0..span (the limit unless given), when that axis is no longer
-    than the value axis 0..U, for U the total utility, and over value
-    otherwise; the same knapsacks come out of either (Kellerer, Pferschy &
-    Pisinger, *Knapsack Problems*, 2004, ch. 2). Nothing is allocated, so a
-    guardrail can count the width first.
+    columns 0..limit, when that axis is no longer than the value axis 0..U,
+    for U the total utility, and over value otherwise; the same knapsacks
+    come out of either (Kellerer, Pferschy & Pisinger, *Knapsack Problems*,
+    2004, ch. 2). Nothing is allocated, so a guardrail can count the width
+    first.
     """
     limit = min(instance.budget, sum(instance.costs))
-    span = limit if span is None else span
     ubound = instance.total_utility()
-    return (True, span + 1, limit) if span <= ubound else (False, ubound + 1, limit)
+    return (True, limit + 1, limit) if limit <= ubound else (False, ubound + 1, limit)
 
 
-def _empty_row(
-    instance: Instance, span: Optional[int] = None
-) -> tuple[np.ndarray, int, int, bool]:
+def _empty_row(instance: Instance) -> tuple[np.ndarray, int, int, bool]:
     """The row of the empty knapsack on the axis :func:`_axis` picks, the
     entry of no knapsack, the limit, and whether the row runs over cost.
 
@@ -338,7 +338,7 @@ def _empty_row(
     cost, and so above the limit. Value rows hold int64 unless a cost added
     to the sentinel could pass 2^62, and Python ints then.
     """
-    by_cost, width, limit = _axis(instance, span)
+    by_cost, width, limit = _axis(instance)
     ubound = instance.total_utility()
     if by_cost:
         return np.zeros(width, dtype=_int_dtype(ubound)), -(ubound + 1), limit, True
@@ -602,14 +602,11 @@ def _voter_runs(
 
 
 def _order_rows(
-    instance: Instance,
-    steps: np.ndarray,
-    opts: SolveOptions,
-    span: Optional[int] = None,
+    instance: Instance, steps: np.ndarray, opts: SolveOptions
 ) -> tuple[np.ndarray, int, bool]:
     """The fixed-order table on the shorter axis, with the empty row as row 0
     and the first t steps of :func:`_voter_runs` in row t; the limit; and
-    the axis, as :func:`_axis` picks it for ``span``.
+    the axis, as :func:`_axis` picks it.
 
     Running row a holds the finished rows (the empty row, earlier rows) with
     a segment of item a open after them, plus a's utility since. A step adds
@@ -628,7 +625,7 @@ def _order_rows(
     n = instance.num_voters
     m = instance.num_items
     _check_cells("order table", n * (instance.total_utility() + 1) * m, opts)
-    empty, none, limit, by_cost = _empty_row(instance, span)
+    empty, none, limit, by_cost = _empty_row(instance)
     rows = np.full((len(steps) + 1, len(empty)), none, dtype=empty.dtype)
     rows[0] = empty
     running = np.tile(empty, (m, 1))
@@ -665,7 +662,9 @@ def ordered_diverse_table(
     opts = options or DEFAULT_OPTIONS
     inf = sum(instance.costs) + 1
     steps = _voter_runs(instance, voter_order, merge=False)
-    rows, _, by_cost = _order_rows(instance, steps, opts, inf - 1)
+    # every knapsack fits in a budget of Σcosts, so the rows hold them all
+    whole = dataclasses.replace(instance, budget=inf - 1)
+    rows, _, by_cost = _order_rows(whole, steps, opts)
     table = rows[1:]
     if by_cost:
         # the least cost whose most value reaches x, or Σcosts + 1
@@ -946,24 +945,17 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 
 def _log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log(1 + u / t) for integers u >= 0 and t >= 1, as floats within a few
-    ulps.
+    """log(1 + u / t) for integers u >= 0 and t >= 1, as floats.
 
-    int64 arrays divide in floats. For Python ints, a quotient past float
-    range becomes a difference of logs, which is then at least 709 and far
-    from cancelling.
+    int64 arrays divide in floats, within a few ulps. Python ints (``object``) go through
+    :func:`_log_log1p_ratio`, which takes any size, and back through ``exp``,
+    which scales its error by the log's magnitude: under 10^-12 relative for
+    any normal float result.
     """
     if u.dtype != object:
         x = u / t
         return np.log1p(x, out=x)
-
-    def one(a: int, b: int) -> float:
-        try:
-            return math.log1p(a / b)
-        except OverflowError:
-            return math.log(a + b) - math.log(b)
-
-    return np.frompyfunc(one, 2, 1)(u, t).astype(float)
+    return np.exp(_log_log1p_ratio(u, t))
 
 
 def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1038,12 +1030,14 @@ def solve_greedy(
     the ib gain less mult * min(u, t) over the item's rows, for t the row's
     total. For ib and diverse the density is the score's gain over the
     item's cost; for fair it is the ratio of the new product to the current
-    one, to the power 1 / cost. Floats (the log of the density, and for fair
-    the sum of mult * log1p(u / (t + 1)) over cost) pick out the items within 1e-9
-    (1 + its magnitude) of each chain's best. Their rounding error is far
-    inside that margin, so when one item is inside, it is the pick; when
-    several are, the exact integer tests decide, in index order, and the
-    lowest index wins among equals. Finished sets are ranked by
+    one, to the power 1 / cost, whose log is the sum of
+    mult * log1p(u / (t + 1)) over the cost. Every key is a float log: of
+    the density for ib and diverse, log(gain) - log(cost), and of its log
+    for fair, log(summed terms) - log(cost). The keys pick out the items
+    within 1e-9 (1 + its magnitude) of each chain's best. Their rounding
+    error is far inside that margin, so when one item is inside, it is the
+    pick; when several are, the exact integer tests decide, in index order,
+    and the lowest index wins among equals. Finished sets are ranked by
     :func:`_better` on their exact scores, which for fair are computed only
     for the sets whose float log score is within the same margin of the
     best. Every pick and the answer are thus those of exact arithmetic, and
@@ -1064,18 +1058,18 @@ def solve_greedy(
       S grows (ib is additive, and diverse and the logarithm of fair are
       submodular), so every set reachable from S scores at most f(S) plus
       the room left times the best gain per unit cost of an item that
-      still fits (Nemhauser, Wolsey & Fisher 1978). For ib and diverse the
-      bound is an exact integer: f(S) plus the floor of room * gain / cost,
-      the most over the items within the margin, among which is the
-      densest. Every set the chain reaches costs more than S, so on a tie
-      with the best score the chain stays only while S costs less than the
-      best, as :func:`_better` ranks ties by cost first. For fair it is a
-      float bound on the logarithm, and a chain goes only when the bound
-      falls short of the best's by more than the margin
-      :func:`brute_force` uses, 1e-9 (1 + |bound|). A chain is bounded
-      only while it has an item left, so no room of 0 meets a density of
-      -inf. A dropped chain would have lost to the best, so the answer
-      stays that of exact arithmetic.
+      still fits (Nemhauser, Wolsey & Fisher 1978), whose log is the
+      chain's best key. The bound is taken in logs: for ib and diverse
+      log(f(S) + room * gain / cost), through ``np.logaddexp``, against the
+      log of the best score; for fair log f(S) + room * (the log of the
+      density), against the best float log score, and a room past float
+      range makes it infinite. A chain goes only when its bound falls short
+      of the best's by more than the margin :func:`brute_force` uses,
+      1e-9 (1 + |bound|), which is far wider than the bound's rounding; so
+      a chain that could tie the best, which :func:`_better` would then
+      rank by cost, stays. A chain is bounded only while it has an item
+      left, so no room of 0 meets a density of -inf. A dropped chain would
+      have lost to the best, so the answer stays that of exact arithmetic.
     - One merge call. The next pick depends only on the chosen set, so
       chains of a block that reach the same set are merged after each
       step: one ``np.unique`` over a key per chain, the set as an int64
@@ -1086,14 +1080,14 @@ def solve_greedy(
     A block holds 2^15 // max(items, distinct rows) chains, so neither a
     step's items x chains arrays nor the chains' totals pass 2^15 entries.
     Totals and costs are int64 unless a sum could pass 2^62, and Python ints
-    (``object``) then. Once a cost reaches 2^1000, near the end of float
-    range (about 2^1024), fair densities are compared as logs, log(summed
-    terms) - log(cost), as those of ib and diverse always are; each term is
-    taken as a log (-inf at a pad), so that none is lost to a subnormal
-    float, and the exact test takes such costs straight to
-    :func:`_log_greater`. Each item's largest log is found over all its
-    slots at once, so there a block holds 2^15 // (items * span) chains, or
-    fewer for the rows.
+    (``object``) then, whose logs are taken at any size. A fair term
+    log1p(u / (t + 1)) with u >= 1 can be a subnormal float of few digits
+    only once a total passes about 2^1022, near the end of float range, so
+    once the total utility reaches 2^1000 each term is taken as a log (-inf
+    at a pad) and an item's terms are summed relative to its largest. That
+    is found over all its slots at once, so there a block holds
+    2^15 // (items * span) chains, or fewer for the rows. The exact test
+    takes costs of 2^1000 or more straight to :func:`_log_greater`.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -1108,8 +1102,6 @@ def solve_greedy(
     k = len(mults)
     ubound = instance.total_utility()
     dt = _int_dtype(ubound + 2 * sum(costs))
-    # ib and diverse bounds: room times a gain, plus a score
-    bdt = _int_dtype((budget + 1) * (ubound + 1))
     # the nonzeros item by item, as items x span grids of row, utility and
     # mult, padded to the longest column with (row 0, utility 0, mult 0),
     # which add 0 to every item's terms
@@ -1126,18 +1118,20 @@ def solve_greedy(
     util[er[real], cols[np.nonzero(real)[0]]] = eu[real]
     c = np.array(costs, dtype=dt)
     cc = c[cols][:, None]
-    # fair densities from a cost of 2^1000 on, near the end of float range,
-    # are compared as logs, as those of ib and diverse always are
-    log_keys = fair and max(costs) >= 2**1000
-    log_cc = _log(cc) if log_keys or not fair else None
-    log_em = _log(em)[:, :, None] if log_keys else None  # -inf at a pad
+    log_cc = _log(cc)
+    # a term log1p(u / (t + 1)) with u >= 1 can be a subnormal float only
+    # once a total passes about 2^1022, so from a total utility of 2^1000 on
+    # each term is taken as a log
+    log_terms = fair and ubound >= 2**1000
+    log_em = _log(em)[:, :, None] if log_terms else None  # -inf at a pad
     mu = np.array(mults, dtype=float if fair else dt)
     bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
-    # a step's arrays are items x chains (span x items x chains on log keys)
-    # and distinct rows x chains
-    width = max(1, 2**15 // max(1, len(cols) * (span if log_keys else 1), k))
+    # a step's arrays are items x chains (items x span x chains on log
+    # terms) and distinct rows x chains
+    width = max(1, 2**15 // max(1, len(cols) * (span if log_terms else 1), k))
     best = (_score(kind, [0] * k, mults), 0, ())  # the empty knapsack
-    best_log = 0.0  # fair: the largest float log score seen
+    # the log of the best score; for fair, the largest float log score seen
+    best_log = 0.0 if fair else -math.inf
     # each item's ib gain, from which its diverse gains are taken
     gains = (em * eu).sum(axis=1)[:, None]
     weighted = max(mults) > 1  # else every real mult is 1, and a pad's term is 0
@@ -1175,32 +1169,19 @@ def solve_greedy(
             cand = (score, int(cost[b]), sel)
             if _better(cand, best):
                 best = cand
+        if not fair and best[0]:
+            best_log = math.log(best[0])
 
-    def can_win(
-        totals: np.ndarray,
-        cost: np.ndarray,
-        room: np.ndarray,
-        g: Optional[np.ndarray],
-        top: np.ndarray,
-        near: np.ndarray,
-        counts: np.ndarray,
-    ) -> np.ndarray:
-        """Whether each chain's bound leaves it a chance to beat the best."""
+    def can_win(totals: np.ndarray, room: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Whether each chain's bound, in logs, leaves it a chance to beat
+        the best; every chain here has an item left, so top is finite."""
+        fill = _log(room) + top  # the log of room times the best density
         if fair:
-            if budget >= 2**1000:
-                # the room may be no float: no chain is dropped
-                return np.ones(len(cost), dtype=bool)
-            # every chain here has an item left, so top is finite; log keys
-            # hold the log of the density
-            dens = np.exp(top) if log_keys else top
-            ub = log_score(totals) + room.astype(float) * dens
-            return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
-        bb, pp = np.nonzero(near.T)  # by chain, each with at least one item
-        dens = room[bb].astype(bdt) * g[pp, bb] // cc[pp, 0]
-        ub = mu @ totals + np.maximum.reduceat(dens, np.cumsum(counts) - counts)
-        # every set the chain reaches costs more than its set now, so on a
-        # tie in score it can only beat a best that costs more
-        return (ub > best[0]) | (ub == best[0]) & (cost < best[1])
+            with np.errstate(over="ignore"):  # a room past float range
+                ub = log_score(totals) + np.exp(fill)
+        else:
+            ub = np.logaddexp(_log(mu @ totals), fill)
+        return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
 
     def exact_picks(totals: np.ndarray, near: np.ndarray) -> list[int]:
         """Each chain's densest near item by the exact integer tests."""
@@ -1249,8 +1230,7 @@ def solve_greedy(
             # many as keep items x slots x chains within 2^15 entries
             step = max(1, 2**15 // (len(cols) * len(cost)))
             groups = [slice(lo, lo + step) for lo in range(0, span, step)]
-            g = None
-            if log_keys:
+            if log_terms:
                 # the log of each item's summed terms, each term taken as a
                 # log, so that none is a subnormal float; the block is small
                 # enough for every slot at once
@@ -1260,7 +1240,9 @@ def solve_greedy(
                     rest = np.exp(logs - peak[:, None])
                 key = peak + np.log(rest.sum(axis=1)) - log_cc
             elif fair:
-                key = _slot_sum(fair_terms(totals, sl) for sl in groups) / cc
+                key = _slot_sum(fair_terms(totals, sl) for sl in groups)
+                np.log(key, out=key)  # in place: a block's keys are many
+                key -= log_cc
             else:
                 if diverse:
                     g = gains - _slot_sum(covered(totals, sl) for sl in groups)
@@ -1278,18 +1260,15 @@ def solve_greedy(
                 live = ~done
                 totals, cost, chosen = totals[:, live], cost[live], chosen[:, live]
                 room, key, top = room[live], key[:, live], top[live]
-                if g is not None:
-                    g = g[:, live]
-            near = key >= top - 1e-9 * (1 + np.abs(top))
-            counts = near.sum(axis=0)
-            win = can_win(totals, cost, room, g, top, near, counts)
+            win = can_win(totals, room, top)
             if not win.all():
                 if not win.any():
                     return
                 totals, cost, chosen = totals[:, win], cost[win], chosen[:, win]
-                key, near, counts = key[:, win], near[:, win], counts[win]
+                key, top = key[:, win], top[win]
+            near = key >= top - 1e-9 * (1 + np.abs(top))
             pick = key.argmax(axis=0)
-            tied = np.flatnonzero(counts > 1)
+            tied = np.flatnonzero(near.sum(axis=0) > 1)
             if len(tied):
                 pick[tied] = exact_picks(totals[:, tied], near[:, tied])
             items = cols[pick]

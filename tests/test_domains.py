@@ -22,6 +22,7 @@ from knapvote.domains import _weak_preference_masks, c1p_order
 
 from conftest import make_instance
 from helpers import (
+    _unimodal,
     c1p_order_by_search,
     sc_masks_by_definition,
     sc_order_by_rows,
@@ -141,6 +142,20 @@ def test_verify_single_crossing_matches_the_definition():
         for order in itertools.permutations(range(n)):
             answer = verify_single_crossing(inst, order)
             assert answer == _crosses_by_definition(inst, order), (inst, order)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_verify_single_peaked_matches_the_definition():
+    rng = random.Random(13)
+    answers = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        inst = make_instance([[rng.randint(0, 2) for _ in range(m)] for _ in range(n)])
+        for order in itertools.permutations(range(m)):
+            answer = verify_single_peaked(inst, order)
+            unimodal = all(_unimodal([row[j] for j in order]) for row in inst.utilities)
+            assert answer == unimodal, (inst, order)
             answers.add(answer)
     assert answers == {True, False}
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -106,6 +107,16 @@ def test_brute_guardrail():
     with pytest.raises(GuardrailError):
         brute_force(inst, Objective.IB)
     assert brute_force(inst, Objective.IB, SolveOptions(max_bruteforce_items=26)).knapsack == ()
+
+
+def test_brute_force_goes_deeper_than_the_recursion_limit():
+    # all 1,200 unit-cost items fit, so the search's first path chooses each
+    # of them, one node deeper per item
+    m = 1200
+    assert m > sys.getrecursionlimit()
+    inst = make_instance([[1] * m], costs=[1] * m, budget=m)
+    sol = brute_force(inst, Objective.IB, SolveOptions(max_bruteforce_items=m))
+    assert sol.knapsack == tuple(range(m))
 
 
 def test_brute_matches_definition_oracle(rng):
@@ -870,20 +881,42 @@ def test_greedy_chains_that_run_out_first_raise_no_float_error():
 
 
 def test_greedy_takes_budgets_past_float_range():
-    # the room of a chain here is past float range, where the fair bound
-    # cannot be taken in floats; four items keep greedy exact
+    # the room of a chain here is past float range, and the bound takes it
+    # only as a log; four items keep greedy exact
     inst = make_instance(
         [[1, 2, 0, 1], [0, 1, 3, 1]], costs=[10**308, 10**308, 1, 3], budget=2 * 10**308 + 1
     )
     for kind in Objective:
         assert solve_greedy(inst, kind).knapsack == brute_force(inst, kind).knapsack
+    # costs scaled by 10^308 under a budget past 10^309: every bound is taken
+    # from logs and still drops chains; scaled as in the tests below, the
+    # knapsack is the unscaled instance's
+    rng = random.Random(309)
+    factor = 10**308
+    for _ in range(4):
+        m = rng.randint(8, 10)
+        costs = [rng.randint(1, 9) for _ in range(m)]
+        budget = rng.randint(10, sum(costs) // 2 + 10)
+        rows = [[rng.choice((0, 0, 1, 2, 5)) for _ in range(m)] for _ in range(3)]
+        inst = make_instance(rows, costs=costs, budget=budget)
+        scaled = make_instance(
+            rows,
+            costs=[c * factor for c in costs],
+            budget=budget * factor + rng.randrange(factor),
+        )
+        for kind, label in KINDS:
+            for size in (1, 2):
+                opts = SolveOptions(greedy_seed_size=size)
+                expected = greedy_by_definition(inst, label, size)
+                assert solve_greedy(scaled, kind, opts).knapsack == expected
 
 
-# Fair densities with a cost of 2^1000 or more, near the end of float range
-# (about 1.8 * 10^308), are compared as logs. Multiplying every cost by one
-# factor K, and the budget by K plus less than K, keeps every fit and every
-# comparison of densities, each of which is raised to the power 1 / K, so
-# greedy returns the knapsack of the unscaled instance.
+# Greedy takes every cost as a log in its keys and its bound, so costs of
+# 2^1000 or more, near the end of float range (about 1.8 * 10^308), need no
+# switch. Multiplying every cost by one factor K, and the budget by K plus
+# less than K, keeps every fit and every comparison of densities, each of
+# which is raised to the power 1 / K, so greedy returns the knapsack of the
+# unscaled instance.
 @pytest.mark.parametrize("factor", (2**1000, 10**309), ids=("2^1000", "10^309"))
 def test_fair_greedy_takes_costs_past_float_range(factor):
     big = 10**309
@@ -906,26 +939,36 @@ def test_fair_greedy_takes_costs_past_float_range(factor):
 
 @pytest.mark.parametrize("inst", SKEWED_CASES, ids=range(len(SKEWED_CASES)))
 def test_fair_greedy_pads_skewed_columns_past_float_range(inst):
-    # greedy pads every column to the longest; with costs scaled past 2^1000
-    # a pad's log is -inf and adds nothing, as in the test above
+    # greedy pads every column to the longest, and a pad adds nothing. With
+    # costs scaled past 2^1000 the knapsack is that of the unscaled instance,
+    # as in the test above. With utilities scaled past 2^1000 each term is
+    # taken as a log, and a pad's log is -inf
     factor = 2**1000
     scaled = make_instance(
         inst.utilities,
         costs=[c * factor for c in inst.costs],
         budget=inst.budget * factor + factor - 1,
     )
+    wide = make_instance(
+        [[u * factor for u in row] for row in inst.utilities],
+        costs=inst.costs,
+        budget=inst.budget,
+    )
     for size in (1, 2, 3):
         opts = SolveOptions(greedy_seed_size=size)
         expected = greedy_by_definition(inst, "fair", size)
         assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
+        expected = greedy_by_definition(wide, "fair", size)
+        assert solve_greedy(wide, Objective.FAIR, opts).knapsack == expected
 
 
 def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
     # after item 3, voter 0's total is 10^400 and items 0 and 1 add 2 to it:
     # their terms log1p(2 / (10^400 + 1)) are no float but their logs are,
-    # and summed as floats they would read 0 and end the chain. Item 2 never
-    # fits; its cost makes the densities logs. A budget of 6 leaves the
-    # bound to drop chains, and one past 2^1000 turns it off
+    # and summed as floats they would read 0 and end the chain; a total
+    # utility past 2^1000 takes each term as a log. Item 2 never fits. A
+    # budget of 6 leaves the bound to drop chains, and one past float range
+    # makes every bound infinite
     for budget in (6, 10**309):
         costs = [2, 2, 3 * 10**309, 2]
         inst = make_instance([[2, 2, 1, 10**400]], costs=costs, budget=budget)
