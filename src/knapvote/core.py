@@ -331,7 +331,12 @@ def evaluate(
     """
     kind = _coerce_objective(kind)
     sel = clean_selection(selected, instance.num_items)
-    score = _score(kind, _voter_utilities(instance, kind, sel), itertools.repeat(1))
+    return _value_of(kind, _voter_utilities(instance, kind, sel))
+
+
+def _value_of(kind: Objective, utilities: Iterable[int]) -> ObjectiveValue:
+    """The objective over each voter's utility, as :func:`evaluate` gives it."""
+    score = _score(kind, utilities, itertools.repeat(1))
     if kind is Objective.FAIR:
         return ObjectiveValue(kind, fair_product=score, fair_log=log_of_int(score))
     return ObjectiveValue(kind, ib_or_div_value=score)
@@ -361,10 +366,11 @@ def make_solution(
     """Build a Solution by re-evaluating everything from the selection."""
     kind = _coerce_objective(kind)
     sel = clean_selection(selected, instance.num_items)
+    utilities = _voter_utilities(instance, kind, sel)
     return Solution(
         knapsack=sel,
-        value=evaluate(instance, kind, sel),
+        value=_value_of(kind, utilities),
         total_cost=sum(instance.costs[j] for j in sel),
-        per_voter_utility=_voter_utilities(instance, kind, sel),
+        per_voter_utility=utilities,
         method=method,
     )

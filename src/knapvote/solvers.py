@@ -172,12 +172,15 @@ def brute_force(
     S's score plus a fractional knapsack over S's gains of candidates p,
     p + 1, ... bounds every set in child p and in every later child (Horowitz
     & Sahni 1974; Nemhauser, Wolsey & Fisher 1978), and the loop stops once
-    that bound cannot beat the best set. The bound is an exact integer for ib
-    and diverse, and a float bound on the logarithm for fair, which prunes
-    only past a margin wider than its rounding error; scores are exact
-    integers throughout. The search keeps one generator per set on the
-    current path, each yielding its children in turn, so its depth is not
-    bound by the interpreter's recursion limit.
+    that bound cannot beat the best set. That sum counts a diverse row's rise
+    once for every item that raises it, so for diverse the bound is the
+    smaller of it and the per-row caps: S's score with each row raised to
+    the most that candidates p, p + 1, ... give it, which never rises with p.
+    The bound is an exact integer for ib and diverse, and a float bound on
+    the logarithm for fair, which prunes only past a margin wider than its
+    rounding error; scores are exact integers throughout. The search keeps
+    one generator per set on the current path, each yielding its children in
+    turn, so its depth is not bound by the interpreter's recursion limit.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -234,6 +237,18 @@ def brute_force(
         n = len(live)
         if fair:
             log_score = math.log(score)
+        elif diverse:
+            # caps[p]: S's score with each row raised to the most that
+            # candidates p, p + 1, ... give it, one pass from the back
+            top = totals[:]
+            caps = [0] * n
+            cap = score
+            for p in range(n - 1, -1, -1):
+                for i, u, mu in nz[items[p]]:
+                    if u > top[i]:
+                        cap += mu * (u - top[i])
+                        top[i] = u
+                caps[p] = cap
         q = 0  # candidates p .. q - 1 fill whole, and q, if any, in part
         whole = used = 0
         for p in range(n):
@@ -264,6 +279,8 @@ def brute_force(
                 ub = score + whole
                 if q < n:
                     ub += live[q][2] * (room - used) // costs[items[q]]
+                if diverse and caps[p] < ub:
+                    ub = caps[p]
                 # every set below S costs more than S, so on a tie in score
                 # it can only beat a best that costs more than S
                 if ub < best[0] or ub == best[0] and cost >= best[1]:
@@ -455,7 +472,7 @@ def _shifted(src: np.ndarray, shift, width: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _step_back(
-    rows: Sequence[np.ndarray], x: int, target, values, costs, by_cost: bool
+    rows: np.ndarray, x: int, target, values, costs, by_cost: bool
 ) -> tuple[int, int, int]:
     """Undo one table step that set an entry to ``target`` at x.
 
@@ -466,16 +483,17 @@ def _step_back(
     ``x - costs[s, k]``, where below column 0 there is no source, and adds
     the value. Of the (s, k) that give the target, the lowest s wins, then
     the lowest k: no item first where source 0 is the empty row, then the
-    lowest source, then the lowest item. Returns s, k and the column of
-    ``rows[s]`` that was read.
+    lowest source, then the lowest item. ``rows`` stacks the source rows;
+    the sources read are the first ones, as many as the choices broadcast
+    to. Returns s, k and the column of ``rows[s]`` that was read.
     """
     shifts, adds = (costs, values) if by_cost else (values, costs)
     cols, adds = np.broadcast_arrays(x - shifts, adds)
     fits = cols >= 0 if by_cost else True
     cols = np.maximum(cols, 0)
-    hit = (np.array([src[c] for src, c in zip(rows, cols)]) + adds == target) & fits
-    s, k = min(zip(*np.nonzero(hit)))
-    return int(s), int(k), int(cols[s, k])
+    hit = (rows[np.arange(len(cols))[:, None], cols] + adds == target) & fits
+    s, k = divmod(int(np.argmax(hit)), hit.shape[1])  # the first hit in C order
+    return s, k, int(cols[s, k])
 
 
 def _optimum(rows: np.ndarray, limit: int, by_cost: bool) -> tuple[int, int]:

@@ -130,6 +130,33 @@ def test_brute_matches_definition_oracle(rng):
             assert sol.knapsack == subset
 
 
+def test_brute_force_caps_each_diverse_row():
+    # the fractional bound alone counts a row's rise once per item that
+    # raises it, and scores 7,275 candidates on this instance
+    rng = random.Random("brute-force caps")
+    m, n = 18, 14
+    rows = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+    costs = [rng.randint(3, 5) for _ in range(m)]
+    inst = make_instance(rows, costs=costs, budget=sum(costs) // 2)
+    calls = 0
+    make_gain = solvers._gain
+
+    def counting(kind):
+        gain = make_gain(kind)
+
+        def counted(totals, column):
+            nonlocal calls
+            calls += 1
+            return gain(totals, column)
+
+        return counted
+
+    with mock.patch.object(solvers, "_gain", counting):
+        sol = brute_force(inst, Objective.DIVERSE)
+    assert calls <= 7275 // 3
+    assert (sol.value.score, sol.total_cost, sol.knapsack) == (122, 28, (3, 4, 10, 11, 14, 17))
+
+
 # value-indexed total-utility DP
 
 
@@ -491,6 +518,28 @@ def test_sc_agrees_with_brute_force(inst):
     _assert_agrees(solve_diverse_sc(inst), inst, Objective.DIVERSE)
 
 
+# the diverse per-row caps: rows of several voters, items valued by no one,
+# budget 0 and utilities past 2^63
+CAP_CASES = (
+    make_instance([[2, 4], [2, 4]], costs=[1, 2], budget=3),
+    make_instance(
+        [[3, 1, 0, 2], [3, 1, 0, 2], [0, 2, 2, 1], [3, 1, 0, 2], [0, 2, 2, 1]],
+        costs=[2, 1, 1, 2], budget=3,
+    ),
+    make_instance(
+        [[0, 4, 0, 1, 3], [0, 2, 3, 0, 3], [0, 4, 0, 1, 3]], costs=[1, 2, 1, 1, 2], budget=3
+    ),
+    make_instance([[5, 1, 2], [1, 5, 2], [5, 1, 2]], costs=[1, 1, 1], budget=0),
+    make_instance(
+        [[2**63, 1, 2**63 + 5, 0], [0, 2**64, 2**63, 0], [2**63, 1, 2**63 + 5, 0]],
+        costs=[1, 1, 1, 1], budget=2,
+    ),
+    make_instance(
+        [[2**63, 2**63 + 1, 0], [2**63 + 1, 2**63, 0]] * 2, costs=[BIG, BIG, 1], budget=BIG
+    ),
+)
+
+
 @st.composite
 def search_instances(draw):
     m = draw(st.integers(1, 8))
@@ -514,6 +563,7 @@ def search_instances(draw):
 @example(from_partition([2, 2, 6, 6, 10, 12]).instance)
 # {0, 3} and {1, 2} tie on value and cost, and the search meets 3 before 0
 @example(make_instance([[1, 2, 3, 4]], costs=[1, 2, 2, 3], budget=4))
+@_with_examples(CAP_CASES)
 def test_brute_force_is_the_definition_oracle(inst):
     for kind, label in KINDS:
         sol = brute_force(inst, kind)
