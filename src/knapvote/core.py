@@ -190,10 +190,17 @@ def validate_instance(instance: Instance) -> list[str]:
 
 
 def clean_selection(selected: Iterable[int], num_items: int) -> tuple[int, ...]:
-    """Normalize a selection to a strictly increasing tuple of item indices."""
-    sel = sorted(selected)
+    """Normalize a selection to a strictly increasing tuple of item indices.
+
+    Every entry is checked to be an integer, in input order, before the
+    sort, which could not order other values."""
+    sel = list(selected)
     for j in sel:
-        if not _is_int(j) or j < 0 or j >= num_items:
+        if not _is_int(j):
+            raise ValidationError(f"bad item index {j!r}")
+    sel.sort()
+    for j in sel:
+        if j < 0 or j >= num_items:
             raise ValidationError(f"bad item index {j!r}")
     for a, b in zip(sel, sel[1:]):
         if a == b:

@@ -44,7 +44,8 @@ bruteforce, then greedy, the inexact fallback.
   from a table built once per solve when it holds at most 2^15 entries, and
   a chain is dropped once a submodular bound, in logs, shows it cannot beat
   the best finished set; neither changes a pick or the answer. Fair terms
-  are taken as logs once the total utility reaches 2^1000.
+  are taken as logs on Python-int totals, and fair ties across unequal
+  costs go to the exact log test :func:`_log_greater`.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -428,32 +429,26 @@ def _relax(row: np.ndarray, src: np.ndarray, value, cost, by_cost: bool) -> None
         better(target, cand, out=target)
 
     if np.ndim(shift):
-        # a shift per candidate row: each gathers its own columns
+        # a shift per candidate row: each gathers its own columns, all rows
+        # at once, or a chunk of the rows at a time with the parts of src,
+        # shift and add that are per row; a src and shift that no row has
+        # its own of are gathered once
         args = (src, shift, add)
+        own, step = [False] * 3, max(1, len(row))
         if row.ndim > 1 and np.broadcast(*args).size > _RELAX_CHUNK:
-            # a chunk of the rows at a time, with the parts of src, shift
-            # and add that are per row; a src and shift that no row has its
-            # own of are gathered once
             nd = max(row.ndim, *map(np.ndim, args))
             own = [np.ndim(v) == nd for v in args]
             step = max(1, _RELAX_CHUNK * len(row) // np.broadcast(*args).size)
-            fixed = None if own[0] or own[1] else _shifted(src, shift, width)
-            for lo in range(0, len(row), step):
-                parts = [v[lo : lo + step] if o else v for v, o in zip(args, own)]
-                cols, cand = fixed or _shifted(parts[0], parts[1], width)
-                cand = cand + parts[2]
-                target = row[lo : lo + step]
-                if by_cost:
-                    keep = target if cand.ndim == row.ndim else target[..., None, :]
-                    np.copyto(cand, keep, where=cols < 0)
-                join(target, cand)
-            return
-        cols, cand = _shifted(src, shift, width)
-        cand = cand + add
-        if by_cost:
-            keep = row if cand.ndim == row.ndim else row[..., None, :]
-            np.copyto(cand, keep, where=cols < 0)
-        join(row, cand)
+        fixed = None if own[0] or own[1] else _shifted(src, shift, width)
+        for lo in range(0, len(row), step):
+            parts = [v[lo : lo + step] if o else v for v, o in zip(args, own)]
+            cols, cand = fixed or _shifted(parts[0], parts[1], width)
+            cand = cand + parts[2]
+            target = row[lo : lo + step]
+            if by_cost:
+                keep = target if cand.ndim == row.ndim else target[..., None, :]
+                np.copyto(cand, keep, where=cols < 0)
+            join(target, cand)
         return
     cut = min(shift, width)
     join(row[..., cut:], src[..., : width - cut] + add)
@@ -876,21 +871,15 @@ def solve_fair_xp_dp(
 def _denser_fair(after: int, before: int, cost: int, pa: int, pb: int, pc: int) -> bool:
     """Whether (after / before)^(1 / cost) beats (pa / pb)^(1 / pc).
 
-    Equal costs compare the ratios themselves. Otherwise the test is
-    pc * log(after / before) > cost * log(pa / pb) in floats; each side errs
-    by a few ulps of pc * log(after) or cost * log(pa), far inside the
-    margin, and only within the margin does :func:`_log_greater` decide it
-    exactly, with both weights divided by gcd(cost, pc). A cost of 2^1000 or
-    more, near the end of float range, goes to :func:`_log_greater` at once.
+    Equal costs compare the ratios themselves. Otherwise
+    :func:`_log_greater` decides pc * log(after / before) >
+    cost * log(pa / pb) exactly, with both weights divided by gcd(cost, pc),
+    at any size of the costs. Greedy asks only about items whose float keys
+    are within its margin of each other, so a float test would rarely
+    decide, and never an exact tie.
     """
     if cost == pc:
         return after * pb > pa * before
-    if max(cost, pc) < 2**1000:
-        la, lpa = math.log(after), math.log(pa)
-        lhs = pc * (la - math.log(before))
-        rhs = cost * (lpa - math.log(pb))
-        if abs(lhs - rhs) > 1e-9 * (pc * la + cost * lpa):
-            return lhs > rhs
     g = math.gcd(cost, pc)
     return _log_greater(Fraction(after, before), pc // g, Fraction(pa, pb), cost // g)
 
@@ -963,17 +952,10 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 
 def _log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log(1 + u / t) for integers u >= 0 and t >= 1, as floats.
-
-    int64 arrays divide in floats, within a few ulps. Python ints (``object``) go through
-    :func:`_log_log1p_ratio`, which takes any size, and back through ``exp``,
-    which scales its error by the log's magnitude: under 10^-12 relative for
-    any normal float result.
-    """
-    if u.dtype != object:
-        x = u / t
-        return np.log1p(x, out=x)
-    return np.exp(_log_log1p_ratio(u, t))
+    """log(1 + u / t) for int64 arrays u >= 0 and t >= 1, as floats within a
+    few ulps. Python ints (``object``) take :func:`_log_log1p_ratio`."""
+    x = u / t
+    return np.log1p(x, out=x)
 
 
 def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1100,12 +1082,13 @@ def solve_greedy(
     Totals and costs are int64 unless a sum could pass 2^62, and Python ints
     (``object``) then, whose logs are taken at any size. A fair term
     log1p(u / (t + 1)) with u >= 1 can be a subnormal float of few digits
-    only once a total passes about 2^1022, near the end of float range, so
-    once the total utility reaches 2^1000 each term is taken as a log (-inf
-    at a pad) and an item's terms are summed relative to its largest. That
-    is found over all its slots at once, so there a block holds
-    2^15 // (items * span) chains, or fewer for the rows. The exact test
-    takes costs of 2^1000 or more straight to :func:`_log_greater`.
+    once a total passes about 2^1022, near the end of float range, so on
+    Python-int totals each term is taken as a log (-inf at a pad) and an
+    item's terms are summed relative to its largest. That is found over all
+    its slots at once, so there a block holds 2^15 // (items * span)
+    chains, or fewer for the rows. The exact test compares fair densities
+    at equal costs by cross-multiplying and across unequal costs by
+    :func:`_log_greater`, at any size of the costs.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -1137,10 +1120,10 @@ def solve_greedy(
     c = np.array(costs, dtype=dt)
     cc = c[cols][:, None]
     log_cc = _log(cc)
-    # a term log1p(u / (t + 1)) with u >= 1 can be a subnormal float only
-    # once a total passes about 2^1022, so from a total utility of 2^1000 on
-    # each term is taken as a log
-    log_terms = fair and ubound >= 2**1000
+    # a term log1p(u / (t + 1)) with u >= 1 can be a subnormal float once a
+    # total passes about 2^1022, which only Python-int totals reach, so on
+    # those each term is taken as a log
+    log_terms = fair and dt is object
     log_em = _log(em)[:, :, None] if log_terms else None  # -inf at a pad
     mu = np.array(mults, dtype=float if fair else dt)
     bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
@@ -1169,7 +1152,7 @@ def solve_greedy(
 
     def log_score(totals: np.ndarray) -> np.ndarray:
         """The float log of the fair score of each chain."""
-        return (_log1p_ratio(totals, 1) * mu[:, None]).sum(axis=0)  # not BLAS
+        return (_log(totals + 1) * mu[:, None]).sum(axis=0)  # not BLAS
 
     def rank(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
         """Let the sets of finished chains compete with the best so far."""

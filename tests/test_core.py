@@ -117,6 +117,9 @@ def test_bad_selection_rejected():
         (per_voter_utilities, [5], "bad item index 5"),
         (per_voter_utilities, [0, 0], "duplicate item index 0"),
         (total_cost, [-1], "bad item index -1"),
+        # a non-integer is refused before the sort, which could not order it
+        (total_cost, [0, "a"], "bad item index 'a'"),
+        (per_voter_utilities, [None, 0], "bad item index None"),
     ],
 )
 def test_selection_helpers_refuse_a_bad_selection(helper, selection, message):

@@ -704,6 +704,14 @@ GREEDY_CASES = EDGE_CASES + SKEWED_CASES + (
     ),
     make_instance([[HUGE, HUGE + 1, 1, 0], [1, 0, HUGE, HUGE]], costs=[2, 2, 1, 3], budget=4),
     make_instance([[HUGE, 1, 2, 0, 1], [0, 3, 3, HUGE, 0], [HUGE, 0, 0, 0, 2]], budget=3),
+    # each item is valued by its own voter alone and multiplies the product
+    # by 1 + u = 2, 4 or 8 at cost 1, 2 or 3: every fair density is exactly
+    # 2, so the exact log test decides every step across unequal costs
+    make_instance(
+        [[u if j == v else 0 for j, u in enumerate([1, 3, 7] * 2)] for v in range(6)],
+        costs=[1, 2, 3] * 2,
+        budget=6,
+    ),
 )
 
 
@@ -991,8 +999,8 @@ def test_fair_greedy_takes_costs_past_float_range(factor):
 def test_fair_greedy_pads_skewed_columns_past_float_range(inst):
     # greedy pads every column to the longest, and a pad adds nothing. With
     # costs scaled past 2^1000 the knapsack is that of the unscaled instance,
-    # as in the test above. With utilities scaled past 2^1000 each term is
-    # taken as a log, and a pad's log is -inf
+    # as in the test above. With utilities scaled past 2^1000 the totals are
+    # Python ints, each term is taken as a log, and a pad's log is -inf
     factor = 2**1000
     scaled = make_instance(
         inst.utilities,
@@ -1015,10 +1023,10 @@ def test_fair_greedy_pads_skewed_columns_past_float_range(inst):
 def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
     # after item 3, voter 0's total is 10^400 and items 0 and 1 add 2 to it:
     # their terms log1p(2 / (10^400 + 1)) are no float but their logs are,
-    # and summed as floats they would read 0 and end the chain; a total
-    # utility past 2^1000 takes each term as a log. Item 2 never fits. A
-    # budget of 6 leaves the bound to drop chains, and one past float range
-    # makes every bound infinite
+    # and summed as floats they would read 0 and end the chain; Python-int
+    # totals take each term as a log. Item 2 never fits. A budget of 6
+    # leaves the bound to drop chains, and one past float range makes every
+    # bound infinite
     for budget in (6, 10**309):
         costs = [2, 2, 3 * 10**309, 2]
         inst = make_instance([[2, 2, 1, 10**400]], costs=costs, budget=budget)
@@ -1029,8 +1037,8 @@ def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
 
 
 def test_fair_greedy_exact_tie_test_takes_costs_past_float_range():
-    # doubling a voter at cost H or at cost H + 1: the logs of the densities
-    # are equal floats, so the exact test decides, with no power of H formed
+    # doubling a voter at cost H or at cost H + 1: unequal costs go to the
+    # exact log test, which forms no power of H
     big = 10**309
     assert _denser_fair(2, 1, big, 2, 1, big + 1)
     assert not _denser_fair(2, 1, big + 1, 2, 1, big)
