@@ -33,19 +33,22 @@ bruteforce, then greedy, the inexact fallback.
   subsets of the k distinct voter rows, for work of 3^k * m * (axis + 1).
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact totals of the
   distinct voter rows.
-- :func:`solve_greedy` - partial-enumeration density greedy; factor (1 - 1/e)
-  for the diverse objective and for the logarithm of the fair objective. The
-  chains of a block of seeds advance in lockstep as arrays, a step sums each
-  item's terms a group of slots at a time over a zero-padded items x span
-  grid into items x chains (2^15 // max(items, distinct rows) chains a
-  block), identical sets merge after each step in one ``np.unique`` call,
-  and log densities pick each step's item unless several are within a
-  margin of the best, when the exact integer tests decide. Fair terms come
-  from a table built once per solve when it holds at most 2^15 entries, and
-  a chain is dropped once a submodular bound, in logs, shows it cannot beat
-  the best finished set; neither changes a pick or the answer. Fair terms
-  are taken as logs on Python-int totals, and fair ties across unequal
-  costs go to the exact log test :func:`_log_greater`.
+- :func:`solve_greedy` - partial-enumeration density greedy; with seeds of
+  3 or more items (the default) a (1 - 1/e) factor for the diverse objective
+  and for the logarithm of the fair objective, and no such factor below.
+  The chains of a block of seeds, 2^15 // max(items, distinct rows) of them
+  for every objective and kind of number, advance in lockstep as arrays. A
+  step combines each item's terms a group of slots at a time over a
+  zero-padded items x span grid into items x chains: by adding, or by
+  ``np.logaddexp`` for fair terms taken as logs on Python-int totals.
+  Identical sets merge after each step in one ``np.unique`` call, and log
+  densities pick each step's item unless several are within a margin of
+  the best, when the exact integer tests decide. Fair terms come from a
+  table built once per solve when it holds at most 2^15 entries, and a
+  chain is dropped once a submodular bound, in logs, shows it cannot beat
+  the best finished set; neither changes a pick or the answer. Finished
+  sets are filtered by float log scores and ranked exactly, and fair ties
+  across unequal costs go to the exact log test :func:`_log_greater`.
 - :func:`solve_auto` - runs the first exact route that applies, falling back to
   the greedy when every exact route is skipped.
 """
@@ -94,7 +97,8 @@ class SolveOptions:
     max_dp_cells: refuse any table whose cells of work would exceed this.
     max_fpt_voters: refuse the voter-subset DP beyond this many voters (raw
         count, duplicates included); its work is capped by max_dp_cells.
-    greedy_seed_size: enumerated seed cardinality for the density greedy.
+    greedy_seed_size: enumerated seed cardinality for the density greedy;
+        its (1 - 1/e) factor needs 3 or more, the default.
     """
 
     max_bruteforce_items: int = 25
@@ -737,6 +741,15 @@ def solve_ordered_diverse_dp(
     order, for work of runs * m * (axis + 1) on the shorter axis (see
     :func:`_axis`); the knapsack is the one a step per voter gives. The
     guardrail checks n * m * (U + 1) over the voters, which bounds it.
+
+    On an order that is not single-crossing, several knapsacks can tie in
+    the table, and the walk returns the one its tie rule reaches; the
+    evaluated value and the cost of that knapsack can differ from another
+    tied knapsack's. With utilities [[1, 2, 4, 2, 3], [3, 1, 3, 3, 3],
+    [4, 1, 2, 0, 4], [2, 3, 3, 3, 2]], every cost 3, budget 6 and order
+    (3, 2, 0, 1), both (1, 4) and (0, 2) reach the best entry, 13 at cost
+    6; the walk returns (1, 4), which evaluates to 13, where (0, 2)
+    evaluates to 14.
     """
     opts = options or DEFAULT_OPTIONS
     return _solve_with_voter_order(instance, voter_order, "ordered-dp", opts)
@@ -980,13 +993,14 @@ def _log_log1p_ratio(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.frompyfunc(one, 2, 1)(u, t).astype(float)
 
 
-def _slot_sum(groups: Iterator[np.ndarray]) -> np.ndarray:
-    """Terms summed per item and chain: each group of slots (items x slots x
-    chains) is summed over its slots, and the groups are added in order."""
-    sums = (group[:, 0] if group.shape[1] == 1 else group.sum(axis=1) for group in groups)
+def _slot_sum(groups: Iterator[np.ndarray], add: np.ufunc) -> np.ndarray:
+    """Terms combined per item and chain by ``add``, ``np.add`` or, for terms
+    taken as logs, ``np.logaddexp``: each group of slots (items x slots x
+    chains) is reduced over its slots, and the groups are combined in order."""
+    sums = (g[:, 0] if g.shape[1] == 1 else add.reduce(g, axis=1) for g in groups)
     total = next(sums)
     for part in sums:
-        total += part
+        add(total, part, out=total)
     return total
 
 
@@ -1014,8 +1028,10 @@ def solve_greedy(
     """Partial-enumeration greedy: try every feasible seed of the configured
     size, extend each by the best marginal gain per unit cost, and keep the
     best candidate overall (all smaller feasible subsets compete as-is).
-    Guarantees a (1 - 1/e) factor for the diverse objective and for the
-    logarithm of the fair objective.
+    With seeds of 3 or more items, the default, it guarantees a (1 - 1/e)
+    factor for the diverse objective and for the logarithm of the fair
+    objective (Sviridenko's partial enumeration); a smaller
+    ``greedy_seed_size`` runs the same algorithm without that factor.
 
     The chains of a block of seeds advance in lockstep, one pick per step,
     as arrays with one column per chain: each distinct voter row's utility
@@ -1038,10 +1054,10 @@ def solve_greedy(
     error is far inside that margin, so when one item is inside, it is the
     pick; when several are, the exact integer tests decide, in index order,
     and the lowest index wins among equals. Finished sets are ranked by
-    :func:`_better` on their exact scores, which for fair are computed only
-    for the sets whose float log score is within the same margin of the
-    best. Every pick and the answer are thus those of exact arithmetic, and
-    the time does not grow with the size of the costs.
+    :func:`_better` on their exact scores, computed only for the sets whose
+    float log score is within the same margin of the best seen. Every pick
+    and the answer are thus those of exact arithmetic, and the time does
+    not grow with the size of the costs.
 
     Three things make a step cheaper without changing a pick:
 
@@ -1059,17 +1075,17 @@ def solve_greedy(
       submodular), so every set reachable from S scores at most f(S) plus
       the room left times the best gain per unit cost of an item that
       still fits (Nemhauser, Wolsey & Fisher 1978), whose log is the
-      chain's best key. The bound is taken in logs: for ib and diverse
-      log(f(S) + room * gain / cost), through ``np.logaddexp``, against the
-      log of the best score; for fair log f(S) + room * (the log of the
-      density), against the best float log score, and a room past float
-      range makes it infinite. A chain goes only when its bound falls short
-      of the best's by more than the margin :func:`brute_force` uses,
-      1e-9 (1 + |bound|), which is far wider than the bound's rounding; so
-      a chain that could tie the best, which :func:`_better` would then
-      rank by cost, stays. A chain is bounded only while it has an item
-      left, so no room of 0 meets a density of -inf. A dropped chain would
-      have lost to the best, so the answer stays that of exact arithmetic.
+      chain's best key. The bound is taken in logs, against the best float
+      log score: for ib and diverse log(f(S) + room * gain / cost), through
+      ``np.logaddexp``; for fair log f(S) + room * (the log of the
+      density), which a room past float range makes infinite. A chain goes
+      only when its bound falls short of the best's by more than the margin
+      :func:`brute_force` uses, 1e-9 (1 + |bound|), which is far wider than
+      the bound's rounding; so a chain that could tie the best, which
+      :func:`_better` would then rank by cost, stays. A chain is bounded
+      only while it has an item left, so no room of 0 meets a density of
+      -inf. A dropped chain would have lost to the best, so the answer
+      stays that of exact arithmetic.
     - One merge call. The next pick depends only on the chosen set, so
       chains of a block that reach the same set are merged after each
       step: one ``np.unique`` over a key per chain, the set as an int64
@@ -1077,18 +1093,16 @@ def solve_greedy(
       first chain of each set. The chains' order never changes a pick or
       the ranking, which :func:`_better` decides on distinct sets.
 
-    A block holds 2^15 // max(items, distinct rows) chains, so neither a
-    step's items x chains arrays nor the chains' totals pass 2^15 entries.
-    Totals and costs are int64 unless a sum could pass 2^62, and Python ints
-    (``object``) then, whose logs are taken at any size. A fair term
-    log1p(u / (t + 1)) with u >= 1 can be a subnormal float of few digits
-    once a total passes about 2^1022, near the end of float range, so on
-    Python-int totals each term is taken as a log (-inf at a pad) and an
-    item's terms are summed relative to its largest. That is found over all
-    its slots at once, so there a block holds 2^15 // (items * span)
-    chains, or fewer for the rows. The exact test compares fair densities
-    at equal costs by cross-multiplying and across unequal costs by
-    :func:`_log_greater`, at any size of the costs.
+    A block holds 2^15 // max(items, distinct rows) chains for every
+    objective, so neither a step's items x chains arrays nor the chains'
+    totals pass 2^15 entries. Totals and costs are int64 unless a sum could
+    pass 2^62, and Python ints (``object``) then, whose logs are taken at
+    any size. A fair term log1p(u / (t + 1)) with u >= 1 can be a subnormal
+    float of few digits once a total passes about 2^1022, so on Python-int
+    totals each term is taken as a log (-inf at a pad) and the slots and
+    groups combine by ``np.logaddexp`` where they otherwise add. The exact
+    test compares fair densities at equal costs by cross-multiplying and
+    across unequal costs by :func:`_log_greater`, at any size of the costs.
     """
     opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
@@ -1122,17 +1136,15 @@ def solve_greedy(
     log_cc = _log(cc)
     # a term log1p(u / (t + 1)) with u >= 1 can be a subnormal float once a
     # total passes about 2^1022, which only Python-int totals reach, so on
-    # those each term is taken as a log
+    # those each term is taken as a log and the terms add in logs
     log_terms = fair and dt is object
-    log_em = _log(em)[:, :, None] if log_terms else None  # -inf at a pad
+    add = np.logaddexp if log_terms else np.add
     mu = np.array(mults, dtype=float if fair else dt)
     bits = 1 << np.arange(m, dtype=np.int64) if m <= 62 else None
-    # a step's arrays are items x chains (items x span x chains on log
-    # terms) and distinct rows x chains
-    width = max(1, 2**15 // max(1, len(cols) * (span if log_terms else 1), k))
+    # a step's arrays are items x chains and distinct rows x chains
+    width = max(1, 2**15 // max(1, len(cols), k))
     best = (_score(kind, [0] * k, mults), 0, ())  # the empty knapsack
-    # the log of the best score; for fair, the largest float log score seen
-    best_log = 0.0 if fair else -math.inf
+    best_log = -math.inf  # the largest float log score seen
     # each item's ib gain, from which its diverse gains are taken
     gains = (em * eu).sum(axis=1)[:, None]
     weighted = max(mults) > 1  # else every real mult is 1, and a pad's term is 0
@@ -1151,27 +1163,22 @@ def solve_greedy(
             off[real] = start
 
     def log_score(totals: np.ndarray) -> np.ndarray:
-        """The float log of the fair score of each chain."""
-        return (_log(totals + 1) * mu[:, None]).sum(axis=0)  # not BLAS
+        """The float log of each chain's score, -inf at a score of 0."""
+        if fair:
+            return (_log(totals + 1) * mu[:, None]).sum(axis=0)  # not BLAS
+        return _log(mu @ totals)
 
     def rank(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
         """Let the sets of finished chains compete with the best so far."""
         nonlocal best, best_log
-        if fair:
-            key = log_score(totals)
-            best_log = max(best_log, key.max())
-            near = np.flatnonzero(key >= best_log - 1e-9 * (1 + best_log))
-        else:
-            key = mu @ totals
-            near = np.flatnonzero(key == key.max()) if key.max() >= best[0] else ()
-        for b in near:
+        key = log_score(totals)
+        best_log = max(best_log, key.max())
+        for b in np.flatnonzero(key >= best_log - 1e-9 * (1 + abs(best_log))):
             score = _score(kind, totals[:, b].tolist(), mults)
             sel = tuple(np.flatnonzero(chosen[:, b]).tolist())
             cand = (score, int(cost[b]), sel)
             if _better(cand, best):
                 best = cand
-        if not fair and best[0]:
-            best_log = math.log(best[0])
 
     def can_win(totals: np.ndarray, room: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Whether each chain's bound, in logs, leaves it a chance to beat
@@ -1181,7 +1188,7 @@ def solve_greedy(
             with np.errstate(over="ignore"):  # a room past float range
                 ub = log_score(totals) + np.exp(fill)
         else:
-            ub = np.logaddexp(_log(mu @ totals), fill)
+            ub = np.logaddexp(log_score(totals), fill)
         return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
 
     def exact_picks(totals: np.ndarray, near: np.ndarray) -> list[int]:
@@ -1203,12 +1210,15 @@ def solve_greedy(
         return [picks[b][0] for b in range(near.shape[1])]
 
     def fair_terms(totals: np.ndarray, slots: slice) -> np.ndarray:
-        """mult * log1p(u / (t + 1)) of each item's slots, for each chain."""
+        """mult * log1p(u / (t + 1)) of each item's slots, for each chain;
+        its log (-inf at a pad) on log terms."""
         at = totals[er[:, slots]]
         if table is not None:
             at += off[:, slots, None]
             return table.take(at, mode="clip")
         at += 1
+        if log_terms:
+            return _log_log1p_ratio(eu[:, slots, None], at) + _log(em[:, slots, None])
         terms = _log1p_ratio(eu[:, slots, None], at)
         terms *= em[:, slots, None]
         return terms
@@ -1227,30 +1237,20 @@ def solve_greedy(
         while True:
             room = budget - cost
             ok = ~chosen[cols] & (cc <= room)
-            # each item's terms are summed a group of slots at a time, as
+            # each item's terms are combined a group of slots at a time, as
             # many as keep items x slots x chains within 2^15 entries
             step = max(1, 2**15 // (len(cols) * len(cost)))
             groups = [slice(lo, lo + step) for lo in range(0, span, step)]
-            if log_terms:
-                # the log of each item's summed terms, each term taken as a
-                # log, so that none is a subnormal float; the block is small
-                # enough for every slot at once
-                logs = _log_log1p_ratio(eu[:, :, None], totals[er] + 1) + log_em
-                peak = logs.max(axis=1)
-                with np.errstate(under="ignore"):
-                    rest = np.exp(logs - peak[:, None])
-                key = peak + np.log(rest.sum(axis=1)) - log_cc
-            elif fair:
-                key = _slot_sum(fair_terms(totals, sl) for sl in groups)
-                np.log(key, out=key)  # in place: a block's keys are many
-                key -= log_cc
+            if fair:
+                key = _slot_sum((fair_terms(totals, sl) for sl in groups), add)
+                if not log_terms:
+                    np.log(key, out=key)  # in place: a block's keys are many
+            elif diverse:
+                g = gains - _slot_sum((covered(totals, sl) for sl in groups), add)
+                key = _log(g)  # -inf at a gain of 0
             else:
-                if diverse:
-                    g = gains - _slot_sum(covered(totals, sl) for sl in groups)
-                else:
-                    g = np.broadcast_to(gains, ok.shape)
-                ok &= g > 0
-                key = _log(g) - log_cc
+                key = _log(np.broadcast_to(gains, ok.shape))
+            key -= log_cc
             key[~ok] = -math.inf
             top = key.max(axis=0)
             done = top == -math.inf

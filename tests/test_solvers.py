@@ -712,6 +712,24 @@ GREEDY_CASES = EDGE_CASES + SKEWED_CASES + (
         costs=[1, 2, 3] * 2,
         budget=6,
     ),
+    # only one item fits, so the three singletons finish as they are, at
+    # scores of 2^71 and 2^71 + 1 whose float logs are equal: the exact
+    # scores rank them, and of the two at 2^71 + 1 the cheaper, later one wins
+    make_instance([[2**71, 2**71 + 1, 2**71 + 1]], costs=[2, 2, 1], budget=2),
+    # six distinct rows past 2^62 over four items: the fair terms are taken
+    # as logs, and a group of slots holds all of an item's rows
+    make_instance(
+        [
+            [2**80, 0, 3, 1],
+            [2**80 + 1, 2**80, 0, 0],
+            [0, 2**80 + 2, 1, 0],
+            [2, 2**80, 2**80, 0],
+            [2**80, 1, 0, 0],
+            [0, 0, 2**80 + 5, 2],
+        ],
+        costs=[2, 2, 3, 1],
+        budget=5,
+    ),
 )
 
 
@@ -786,6 +804,34 @@ def test_greedy_step_arrays_are_items_by_chains(voters, items, density):
         tracemalloc.stop()
     assert peak < 12 * 8 * 2**15
     assert sol.total_cost <= inst.budget
+
+
+def test_fair_greedy_step_on_python_ints_stays_within_the_block():
+    # utilities past 2^63 make the totals Python ints, whose fair terms are
+    # taken as logs. 284 distinct rows give a block of 2^15 // 284 = 115 of
+    # the 120 pairs, and items x span x chains is some 3.2 x 2^15; a group
+    # of slots keeps a step within 2^15 entries, each a Python int, a float
+    # and its log, and the chains' totals hold as many Python ints again.
+    # That peaks near 100 bytes per entry of 2^15, and summing every slot at
+    # once would peak near 240
+    rng = random.Random(7)
+    rows = [
+        [rng.randint(2**63, 2**64) if rng.random() < 0.15 else 0 for _ in range(16)]
+        for _ in range(300)
+    ]
+    # the seeds spend the budget, so the one step scores every item for
+    # every chain and finds that none fits
+    inst = make_instance(rows, costs=[1] * 16, budget=2)
+    assert len(set(inst.utilities)) == 284
+    opts = SolveOptions(greedy_seed_size=2)
+    tracemalloc.start()
+    try:
+        sol = solve_greedy(inst, Objective.FAIR, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**15
+    assert sol.knapsack == greedy_by_definition(inst, "fair", 2)
 
 
 def test_fair_greedy_time_does_not_grow_with_the_utilities():
