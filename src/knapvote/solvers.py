@@ -1059,7 +1059,8 @@ def solve_greedy(
     and the answer are thus those of exact arithmetic, and the time does
     not grow with the size of the costs.
 
-    Three things make a step cheaper without changing a pick:
+    Six things make the search cheaper without changing a pick or the
+    answer:
 
     - Fair terms from a table. On int64 totals, the term
       mult * log1p(u / (t + 1)) of each nonzero at every total t that its
@@ -1075,8 +1076,9 @@ def solve_greedy(
       submodular), so every set reachable from S scores at most f(S) plus
       the room left times the best gain per unit cost of an item that
       still fits (Nemhauser, Wolsey & Fisher 1978), whose log is the
-      chain's best key. The bound is taken in logs, against the best float
-      log score: for ib and diverse log(f(S) + room * gain / cost), through
+      chain's best key. The bound is taken in logs, from the chain's
+      carried log score (below) against the best float log score: for ib
+      and diverse log(f(S) + room * gain / cost), through
       ``np.logaddexp``; for fair log f(S) + room * (the log of the
       density), which a room past float range makes infinite. A chain goes
       only when its bound falls short of the best's by more than the margin
@@ -1092,6 +1094,28 @@ def solve_greedy(
       bitmask up to 62 items and its packed bits past that, keeps the
       first chain of each set. The chains' order never changes a pick or
       the ranking, which :func:`_better` decides on distinct sets.
+    - A primed bound. Before any seed runs, one chain starts from the empty
+      set (zero totals, cost 0, nothing chosen) and runs to its end, so the
+      bound has an incumbent from the first block of seeds on, not only the
+      best smaller set. The answer stays the same: the next pick depends
+      only on the set, so once this chain has made as many picks as a seed
+      has items, its state is that of the seed made of those picks, and it
+      ends on the set that seed's chain would end on; if it stops sooner,
+      its set is a feasible smaller seed, which competes as it is anyway.
+      Ranking a set that competes anyway leaves the best where it was, so
+      only the best float log score rises sooner, and the bound still drops
+      only chains that would lose.
+    - Finished chains leave first. At the top of each step, the chains with
+      no item left that fits are ranked and dropped before any term is
+      summed, so a block whose seeds spend the budget sums none. A chain
+      whose fitting items all gain 0 is still found from its keys.
+    - Carried log scores. Each chain carries its float log score: a block's
+      seeds start from the log of their scores, and a pick adds the picked
+      item's gain, read back from its own key, exp(key + log cost) to the
+      log score for fair and through ``np.logaddexp`` of key + log cost for
+      ib and diverse. The bound and the ranking read these, with no logs of
+      the distinct rows' totals at each step. A pick adds a few ulps of
+      error, far inside the 1e-9 (1 + |score|) margin.
 
     A block holds 2^15 // max(items, distinct rows) chains for every
     objective, so neither a step's items x chains arrays nor the chains'
@@ -1168,27 +1192,34 @@ def solve_greedy(
             return (_log(totals + 1) * mu[:, None]).sum(axis=0)  # not BLAS
         return _log(mu @ totals)
 
-    def rank(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
-        """Let the sets of finished chains compete with the best so far."""
+    def rank(
+        totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray, score: np.ndarray
+    ) -> None:
+        """Let the sets of finished chains compete with the best so far.
+        ``score`` holds each chain's carried float log score; only the sets
+        within the margin of the best seen are scored exactly and ranked."""
         nonlocal best, best_log
-        key = log_score(totals)
-        best_log = max(best_log, key.max())
-        for b in np.flatnonzero(key >= best_log - 1e-9 * (1 + abs(best_log))):
-            score = _score(kind, totals[:, b].tolist(), mults)
-            sel = tuple(np.flatnonzero(chosen[:, b]).tolist())
-            cand = (score, int(cost[b]), sel)
+        best_log = max(best_log, score.max())
+        for b in np.flatnonzero(score >= best_log - 1e-9 * (1 + abs(best_log))):
+            cand = (
+                _score(kind, totals[:, b].tolist(), mults),
+                int(cost[b]),
+                tuple(np.flatnonzero(chosen[:, b]).tolist()),
+            )
             if _better(cand, best):
                 best = cand
 
-    def can_win(totals: np.ndarray, room: np.ndarray, top: np.ndarray) -> np.ndarray:
+    def can_win(score: np.ndarray, room: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Whether each chain's bound, in logs, leaves it a chance to beat
-        the best; every chain here has an item left, so top is finite."""
+        the best: its carried float log score ``score`` with its room times
+        its best density, whose log is ``top``; every chain here has an item
+        left, so top is finite."""
         fill = _log(room) + top  # the log of room times the best density
         if fair:
             with np.errstate(over="ignore"):  # a room past float range
-                ub = log_score(totals) + np.exp(fill)
+                ub = score + np.exp(fill)
         else:
-            ub = np.logaddexp(log_score(totals), fill)
+            ub = np.logaddexp(score, fill)
         return ub + 1e-9 * (1 + np.abs(ub)) >= best_log
 
     def exact_picks(totals: np.ndarray, near: np.ndarray) -> list[int]:
@@ -1232,11 +1263,21 @@ def solve_greedy(
             at *= em[:, slots, None]
         return at
 
-    def advance(totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray) -> None:
+    def advance(
+        totals: np.ndarray, cost: np.ndarray, chosen: np.ndarray, score: np.ndarray
+    ) -> None:
         """Run a block of chains to their ends, ranking each as it stops."""
         while True:
             room = budget - cost
             ok = ~chosen[cols] & (cc <= room)
+            left = ok.any(axis=0)
+            if not left.all():  # no item fits: ranked before any term is summed
+                done = ~left
+                rank(totals[:, done], cost[done], chosen[:, done], score[done])
+                if not left.any():
+                    return
+                totals, cost, chosen = totals[:, left], cost[left], chosen[:, left]
+                score, room, ok = score[left], room[left], ok[:, left]
             # each item's terms are combined a group of slots at a time, as
             # many as keep items x slots x chains within 2^15 entries
             step = max(1, 2**15 // (len(cols) * len(cost)))
@@ -1253,25 +1294,29 @@ def solve_greedy(
             key -= log_cc
             key[~ok] = -math.inf
             top = key.max(axis=0)
-            done = top == -math.inf
+            done = top == -math.inf  # every item that fits gains 0
             if done.any():
-                rank(totals[:, done], cost[done], chosen[:, done])
+                rank(totals[:, done], cost[done], chosen[:, done], score[done])
                 if done.all():
                     return
                 live = ~done
                 totals, cost, chosen = totals[:, live], cost[live], chosen[:, live]
-                room, key, top = room[live], key[:, live], top[live]
-            win = can_win(totals, room, top)
+                score, room, key, top = score[live], room[live], key[:, live], top[live]
+            win = can_win(score, room, top)
             if not win.all():
                 if not win.any():
                     return
                 totals, cost, chosen = totals[:, win], cost[win], chosen[:, win]
-                key, top = key[:, win], top[win]
+                score, key, top = score[win], key[:, win], top[win]
             near = key >= top - 1e-9 * (1 + np.abs(top))
             pick = key.argmax(axis=0)
             tied = np.flatnonzero(near.sum(axis=0) > 1)
             if len(tied):
                 pick[tied] = exact_picks(totals[:, tied], near[:, tied])
+            # the pick's gain, read back from its key: the log of the score's
+            # gain for ib and diverse, and for fair the gain of the log score
+            lift = key[pick, np.arange(len(pick))] + log_cc[pick, 0]
+            score = score + np.exp(lift) if fair else np.logaddexp(score, lift)
             items = cols[pick]
             totals = join(totals, util[:, items])
             cost = cost + c[items]
@@ -1285,7 +1330,12 @@ def solve_greedy(
                 _, first = np.unique(packed, axis=1, return_index=True)
             if len(first) < len(items):  # the chains' order never matters
                 totals, cost, chosen = totals[:, first], cost[first], chosen[:, first]
+                score = score[first]
 
+    if len(cols):  # the chain from the empty set primes the bound
+        empty = np.zeros((k, 1), dtype=dt)
+        chosen = np.zeros((m, 1), dtype=bool)
+        advance(empty, np.zeros(1, dtype=dt), chosen, log_score(empty))
     s = min(opts.greedy_seed_size, m)
     for size in range(1, s + 1):
         for seeds in _seed_blocks(c, budget, size, width):
@@ -1296,9 +1346,9 @@ def solve_greedy(
             chosen[seeds.T, np.arange(len(seeds))] = True
             cost = c[seeds].sum(axis=1)
             if size == s and len(cols):
-                advance(totals, cost, chosen)
+                advance(totals, cost, chosen, log_score(totals))
             else:  # smaller seeds compete as they are
-                rank(totals, cost, chosen)
+                rank(totals, cost, chosen, log_score(totals))
     return make_solution(instance, kind, best[2], "greedy")
 
 

@@ -26,6 +26,7 @@ from knapvote import (
     from_dominating_set,
     from_exact_partition,
     from_knapsack,
+    from_multicolored_clique,
     from_partition,
     from_x3c,
     is_connected_assignment,
@@ -982,6 +983,120 @@ def test_greedy_chains_that_run_out_first_raise_no_float_error():
         warnings.simplefilter("error")
         for kind, label in KINDS:
             assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 1)
+
+
+@pytest.mark.parametrize(
+    "rows, costs, budget",
+    (
+        ([[3, 1, 2, 0], [0, 2, 1, 4]], [3, 4, 5, 3], 2),
+        ([[3, 1, 2, 0, 5], [0, 2, 1, 4, 1], [2, 0, 0, 1, 3]], [2, 3, 4, 5, 6], 3),
+        ([[3, 1, 2, 0, 5], [0, 2, 1, 4, 1], [2, 0, 0, 1, 3]], [2, 3, 4, 5, 6], 6),
+        ([[0, 0, 0], [0, 0, 0]], [1, 2, 1], 3),
+    ),
+    ids=("nothing fits", "one item fits", "two items fit", "no utility"),
+)
+def test_greedy_chain_from_the_empty_set_stops_early(rows, costs, budget):
+    # the chain from the empty set runs before any seed: it ends at once when
+    # nothing fits, stops after one or two picks, short of a seed of 3, when
+    # the budget holds no more, and does not run without utilities
+    inst = make_instance(rows, costs=costs, budget=budget)
+    for size in (1, 2, 3):
+        opts = SolveOptions(greedy_seed_size=size)
+        for kind, label in KINDS:
+            expected = greedy_by_definition(inst, label, size)
+            assert solve_greedy(inst, kind, opts).knapsack == expected
+
+
+def test_greedy_seeds_that_spend_the_budget_sum_no_terms(monkeypatch):
+    # unit costs and a budget of 3: every seed of 3 spends the budget, so its
+    # chain is ranked before any term is summed. Only the chain from the
+    # empty set sums terms, one chain at each of its 3 picks; ib gains are
+    # summed once per solve, and an ib step sums none
+    rng = random.Random(55)
+    inst = make_instance([[rng.randint(1, 9) for _ in range(8)] for _ in range(4)], budget=3)
+    chains = []
+    real = solvers._slot_sum
+
+    def counted(groups, add):
+        total = real(groups, add)
+        chains.append(total.shape[1])
+        return total
+
+    monkeypatch.setattr(solvers, "_slot_sum", counted)
+    for kind, label in KINDS:
+        chains.clear()
+        assert solve_greedy(inst, kind).knapsack == greedy_by_definition(inst, label, 3)
+        assert chains == ([] if kind is Objective.IB else [1, 1, 1])
+
+
+@pytest.mark.parametrize("scale", (1, 2**63), ids=("int64", "python ints"))
+def test_greedy_carried_scores_over_long_chains(scale):
+    # chains of up to 31 picks, each of which adds a few ulps of error to the
+    # chain's carried float log score, which the bound and the ranking read;
+    # utilities past 2^63 make the totals Python ints. The last 8 or 10
+    # items of each instance cost more than the budget and never fit
+    rng = random.Random(4)
+    # ib and fair: one voter, 32 items of cost 1 to 3 and room for all but a
+    # few of them
+    costs = [rng.randint(1, 3) for _ in range(32)]
+    budget = sum(costs) - 3
+    row = [rng.randint(1, 9) * scale + rng.randint(0, 3) for _ in range(32)]
+    flat = make_instance([row + [5 * scale] * 8], costs=costs + [budget + 1] * 8, budget=budget)
+    # diverse: each of two voters values 15 rungs, t * scale + v at cost
+    # 2^t - 1 for t = 1..15, so that from any rung the next one up is the
+    # densest; a chain that climbs them all takes 29 picks, with room for
+    # one of the two top rungs
+    rows = [[0] * 40 for _ in range(2)]
+    costs = []
+    for v in range(2):
+        for t in range(1, 16):
+            rows[v][len(costs)] = t * scale + v
+            costs.append(2**t - 1)
+    budget = sum(costs) - 2**14
+    for j in range(30, 40):
+        rows[j % 2][j] = 5 * scale
+    ladder = make_instance(rows, costs=costs + [budget + 1] * 10, budget=budget)
+    # ib's score is carried as diverse's is, and its definition at seeds of
+    # 2 would take the test's time up by half
+    cases = (
+        (1, flat, Objective.IB, "ib"),
+        (1, flat, Objective.FAIR, "fair"),
+        (1, ladder, Objective.DIVERSE, "diverse"),
+        (2, flat, Objective.FAIR, "fair"),
+        (2, ladder, Objective.DIVERSE, "diverse"),
+    )
+    for size, inst, kind, label in cases:
+        opts = SolveOptions(greedy_seed_size=size)
+        expected = greedy_by_definition(inst, label, size)
+        assert solve_greedy(inst, kind, opts).knapsack == expected
+        assert len(expected) >= 30 or inst is ladder
+
+
+def test_greedy_exact_tie_tests_on_a_clique_instance(monkeypatch):
+    # a multicolored-clique instance of three colours of three vertices and
+    # 17 edges: 26 items of cost 1 and 18 voters. Its fair densities tie
+    # often, and the exact tests call a gain once per tied item and chain.
+    # The chain from the empty set gives the bound its incumbent before the
+    # first block of seeds; without it they make 2,008 calls here
+    edges = [(0, 1), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (2, 4)]
+    edges += [(2, 7), (3, 4), (3, 5), (3, 7), (3, 8), (4, 6), (4, 8), (6, 7)]
+    made = from_multicolored_clique(SourceGraph(9, edges, tuple(v % 3 for v in range(9))), 3)
+    calls = []
+    real = solvers._gain
+
+    def counted(kind):
+        gain = real(kind)
+
+        def count(totals, column):
+            calls.append(column)
+            return gain(totals, column)
+
+        return count
+
+    monkeypatch.setattr(solvers, "_gain", counted)
+    sol = solve_greedy(made.instance, Objective.FAIR)
+    assert len(calls) == 1309
+    assert sol.knapsack == (0, 1, 5, 9, 11, 15)
 
 
 def test_greedy_takes_budgets_past_float_range():
