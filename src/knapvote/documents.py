@@ -50,12 +50,17 @@ def _decimal_to_int(text: str) -> int:
 
 
 def _load_json(text: str) -> Any:
+    """Parse JSON text whose integers may have any number of digits."""
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer past the interpreter's digit limit
+            # a parse_int hook on every parse would take several times as long
+            return json.loads(text, parse_int=_decimal_to_int)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    except ValueError as e:  # an integer past the interpreter's digit limit
-        raise ValidationError(f"invalid JSON: {e}")
 
 
 def _require_keys(doc: dict, required: set[str], noun: str) -> None:

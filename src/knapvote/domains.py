@@ -35,6 +35,9 @@ import numpy as np
 
 from .core import GuardrailError, Instance, ValidationError, _int_dtype, _is_int
 
+# the most consecutive-ones rows either recognizer counts before it refuses
+_MAX_ROWS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # PQ-tree
@@ -268,18 +271,16 @@ def verify_single_peaked(instance: Instance, order: Sequence[int]) -> bool:
     return True
 
 
-def recognize_single_peaked(
-    instance: Instance, *, max_rows: int = 1_000_000
-) -> Optional[tuple[int, ...]]:
+def recognize_single_peaked(instance: Instance) -> Optional[tuple[int, ...]]:
     """Find an item order making the profile single-peaked, or None.
 
     A row is unimodal along an order exactly when each of its upper level sets
     {items with utility >= t} is contiguous, so recognition is a
     consecutive-ones problem with one row per voter per distinct positive
     utility value. Read in falling utility order, a voter's items build those
-    sets as a nested chain of masks, once per distinct row; ``max_rows``
-    counts the sets of 2 to m - 1 items of every voter, before duplicates are
-    dropped.
+    sets as a nested chain of masks, once per distinct row. The guardrail
+    refuses more than ``_MAX_ROWS`` (10^6) sets of 2 to m - 1 items over
+    every voter, counted before duplicates are dropped.
     """
     m = instance.num_items
     bits = [1 << (m - 1 - j) for j in range(m)]
@@ -299,9 +300,9 @@ def recognize_single_peaked(
                 masks.append(mask)
                 sets += 1
         count += voters * sets
-        if count > max_rows:
+        if count > _MAX_ROWS:
             raise GuardrailError(
-                f"single-peaked recognition needs more than {max_rows} constraint rows"
+                f"single-peaked recognition needs more than {_MAX_ROWS} constraint rows"
             )
     return _c1p_masks(m, masks)
 
@@ -351,18 +352,17 @@ def verify_single_crossing(instance: Instance, order: Sequence[int]) -> bool:
     return True
 
 
-def recognize_single_crossing(
-    instance: Instance, *, max_rows: int = 1_000_000
-) -> Optional[tuple[int, ...]]:
+def recognize_single_crossing(instance: Instance) -> Optional[tuple[int, ...]]:
     """Find a voter order under which the profile is single-crossing, or None.
 
     One consecutive-ones row per ordered item pair (a, b), marking the voters
-    who weakly prefer b to a; columns are voters. ``max_rows`` counts all
-    m(m - 1) pairs, before duplicates are dropped.
+    who weakly prefer b to a; columns are voters. The guardrail refuses more
+    than ``_MAX_ROWS`` (10^6) rows, counting all m(m - 1) pairs before
+    duplicates are dropped.
     """
     m = instance.num_items
-    if m * (m - 1) > max_rows:
+    if m * (m - 1) > _MAX_ROWS:
         raise GuardrailError(
-            f"single-crossing recognition needs more than {max_rows} constraint rows"
+            f"single-crossing recognition needs more than {_MAX_ROWS} constraint rows"
         )
     return _c1p_masks(instance.num_voters, _weak_preference_masks(instance.utilities))

@@ -33,9 +33,9 @@ bruteforce, then greedy, the inexact fallback.
   subsets of the k distinct voter rows, for work of 3^k * m * (axis + 1).
 - :func:`solve_fair_xp_dp` - Nash welfare, table over exact totals of the
   distinct voter rows.
-- :func:`solve_greedy` - partial-enumeration density greedy; with seeds of
-  3 or more items (the default) a (1 - 1/e) factor for the diverse objective
-  and for the logarithm of the fair objective, and no such factor below.
+- :func:`solve_greedy` - partial-enumeration density greedy over the
+  C(m, 3) seeds of 3 items, with a (1 - 1/e) factor for the diverse
+  objective and for the logarithm of the fair objective; it has no cap.
   The chains of a block of seeds, 2^15 // max(items, distinct rows) of them
   for every objective and kind of number, advance in lockstep as arrays. A
   step combines each item's terms a group of slots at a time over a
@@ -97,14 +97,11 @@ class SolveOptions:
     max_dp_cells: refuse any table whose cells of work would exceed this.
     max_fpt_voters: refuse the voter-subset DP beyond this many voters (raw
         count, duplicates included); its work is capped by max_dp_cells.
-    greedy_seed_size: enumerated seed cardinality for the density greedy;
-        its (1 - 1/e) factor needs 3 or more, the default.
     """
 
     max_bruteforce_items: int = 25
     max_dp_cells: int = 100_000_000
     max_fpt_voters: int = 8
-    greedy_seed_size: int = 3
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -1004,6 +1001,12 @@ def _slot_sum(groups: Iterator[np.ndarray], add: np.ufunc) -> np.ndarray:
     return total
 
 
+# the greedy's seed size: its (1 - 1/e) factor needs seeds of 3 items
+# (Khuller, Moss & Naor 1999; Sviridenko 2004), and each size past that
+# multiplies the C(m, s) seeds, which no cap counts
+_SEED_SIZE = 3
+
+
 def _seed_blocks(
     costs: np.ndarray, budget: int, size: int, width: int
 ) -> Iterator[np.ndarray]:
@@ -1025,13 +1028,13 @@ def _seed_blocks(
 def solve_greedy(
     instance: Instance, kind: Objective | str, options: Optional[SolveOptions] = None
 ) -> Solution:
-    """Partial-enumeration greedy: try every feasible seed of the configured
-    size, extend each by the best marginal gain per unit cost, and keep the
-    best candidate overall (all smaller feasible subsets compete as-is).
-    With seeds of 3 or more items, the default, it guarantees a (1 - 1/e)
-    factor for the diverse objective and for the logarithm of the fair
-    objective (Sviridenko's partial enumeration); a smaller
-    ``greedy_seed_size`` runs the same algorithm without that factor.
+    """Partial-enumeration greedy: try every feasible seed of 3 items, at
+    most C(m, 3) of them, extend each by the best marginal gain per unit
+    cost, and keep the best candidate overall (all smaller feasible subsets
+    compete as-is). Seeds of 3 items guarantee a (1 - 1/e) factor for the
+    diverse objective and for the logarithm of the fair objective
+    (Sviridenko's partial enumeration). Greedy has no cap: it takes
+    ``options``, as every solver does, and reads none of them.
 
     The chains of a block of seeds advance in lockstep, one pick per step,
     as arrays with one column per chain: each distinct voter row's utility
@@ -1128,7 +1131,6 @@ def solve_greedy(
     test compares fair densities at equal costs by cross-multiplying and
     across unequal costs by :func:`_log_greater`, at any size of the costs.
     """
-    opts = options or DEFAULT_OPTIONS
     kind = _coerce_objective(kind)
     m = instance.num_items
     costs = instance.costs
@@ -1336,7 +1338,7 @@ def solve_greedy(
         empty = np.zeros((k, 1), dtype=dt)
         chosen = np.zeros((m, 1), dtype=bool)
         advance(empty, np.zeros(1, dtype=dt), chosen, log_score(empty))
-    s = min(opts.greedy_seed_size, m)
+    s = min(_SEED_SIZE, m)
     for size in range(1, s + 1):
         for seeds in _seed_blocks(c, budget, size, width):
             totals = util[:, seeds[:, 0]]

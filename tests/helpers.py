@@ -6,15 +6,28 @@ enumeration for optima, permutation search for domain witnesses, and
 segment-partition enumeration for connected assignments. The one exception
 is the recognizers' reference rows, which are built cell by cell from the
 definitions and handed to the package's public ``c1p_order``.
+:func:`seed_size` and :func:`row_cap` run the package at another greedy
+seed size or recognizer row cap than its fixed ones.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Optional, Sequence
+from unittest import mock
 
-from knapvote import Instance
+from knapvote import Instance, domains, solvers
 from knapvote.domains import c1p_order
+
+
+def seed_size(size: int):
+    """A context in which ``solve_greedy`` seeds with ``size`` items."""
+    return mock.patch.object(solvers, "_SEED_SIZE", size)
+
+
+def row_cap(cap: int):
+    """A context in which both recognizers refuse more than ``cap`` rows."""
+    return mock.patch.object(domains, "_MAX_ROWS", cap)
 
 
 def subset_value(instance: Instance, kind: str, subset: Sequence[int]):

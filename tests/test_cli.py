@@ -20,6 +20,7 @@ from knapvote import (
     solve_diverse_sc,
 )
 from knapvote.cli import _build_parser, main
+from knapvote.documents import _decimal_to_int
 from knapvote.solvers import _ROUTES
 from conftest import grouped_instance, make_instance
 
@@ -655,19 +656,19 @@ def test_utilities_at_the_digit_limit(run, write_instance):
     assert "over the cap" in err
 
 
-def test_integers_past_the_digit_limit_in_input_are_rejected(run, tmp_path):
+def test_integers_past_the_digit_limit_in_input_are_read(run, tmp_path):
     huge = "1" + "0" * 5000
     path = tmp_path / "inst.json"
     path.write_text(
         '{"voters": 1, "items": [{"name": "a", "cost": 1}], "utilities": [[0]], '
         f'"budget": {huge}}}'
     )
-    code, _, err = run("solve", "--objective", "ib", str(path))
-    assert code == 2
-    assert "invalid JSON" in err
+    code, out, err = run("solve", "--objective", "ib", str(path))
+    assert code == 0, err
+    assert json.loads(out)["total_cost"] == 0
     params = tmp_path / "params.json"
     params.write_text(f'{{"entries": [{huge}]}}')
-    code, _, err = run(
+    code, out, err = run(
         "generate",
         "--reduction",
         "partition",
@@ -676,8 +677,8 @@ def test_integers_past_the_digit_limit_in_input_are_rejected(run, tmp_path):
         "--out",
         str(tmp_path / "out.json"),
     )
-    assert code == 2
-    assert "invalid JSON" in err
+    assert code == 0, err
+    assert huge in (tmp_path / "out.json").read_text()
     # a params file that cannot be read is not reported as bad JSON
     code, _, err = run(
         "generate",
@@ -691,3 +692,31 @@ def test_integers_past_the_digit_limit_in_input_are_rejected(run, tmp_path):
     assert code == 2
     assert "cannot read" in err
     assert "invalid JSON" not in err
+
+
+def test_generate_then_solve_past_the_digit_limit(run, tmp_path):
+    # the scaled utilities and the threshold have one digit more than the
+    # limit, so solve reads back what generate wrote only by a second parse
+    digits = sys.get_int_max_str_digits() or 4300
+    source = {
+        "values": [10 ** (digits - 2) + j for j in range(10)],
+        "weights": [1] * 10,
+        "value_target": 3 * 10 ** (digits - 2),
+        "weight_budget": 3,
+    }
+    params = params_file(tmp_path, "knapsack", source)
+    out_path = tmp_path / "gen.json"
+    code, out, err = run(
+        "generate", "--reduction", "knapsack", "--params", params, "--out", str(out_path)
+    )
+    assert code == 0, err
+    threshold = json.loads(out)["threshold"]
+    assert len(threshold) == digits + 1
+    code, out, err = run(
+        "solve", "--objective", "diverse", "--threshold", threshold, str(out_path)
+    )
+    assert code == 0, err
+    doc = json.loads(out, parse_int=_decimal_to_int)
+    assert doc["method"] == "bruteforce"
+    assert doc["meets_threshold"] is True
+    assert max(doc["per_voter_utility"]) > 10**digits

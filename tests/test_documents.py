@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -113,6 +114,13 @@ def test_round_trip_identity(rng):
     for _ in range(50):
         inst = random_instance(rng)
         assert parse_instance(emit_instance(inst)) == inst
+
+
+def test_round_trip_past_the_digit_limit():
+    # a utility, a cost and a budget one digit past the limit of int()
+    big = 10 ** (sys.get_int_max_str_digits() or 4300)
+    inst = make_instance([[big + 7, 2], [0, 1]], costs=[big + 1, 3], budget=big + 4)
+    assert parse_instance(emit_instance(inst)) == inst
 
 
 def test_emission_is_deterministic():

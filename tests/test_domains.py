@@ -24,6 +24,7 @@ from conftest import make_instance
 from helpers import (
     _unimodal,
     c1p_order_by_search,
+    row_cap,
     sc_masks_by_definition,
     sc_order_by_rows,
     sc_witness_by_search,
@@ -355,12 +356,13 @@ def test_recognition_is_deterministic(rng):
 
 def test_recognizer_row_guardrail():
     inst = make_instance([[j for j in range(30)] for _ in range(4)], budget=5)
-    with pytest.raises(GuardrailError):
-        recognize_single_peaked(inst, max_rows=10)
+    with row_cap(10), pytest.raises(GuardrailError):
+        recognize_single_peaked(inst)
     # single crossing needs one row per ordered item pair: 30 * 29 of them
-    with pytest.raises(GuardrailError, match="more than 869 constraint rows"):
-        recognize_single_crossing(inst, max_rows=869)
-    assert recognize_single_crossing(inst, max_rows=870) is not None
+    with row_cap(869), pytest.raises(GuardrailError, match="more than 869 constraint rows"):
+        recognize_single_crossing(inst)
+    with row_cap(870):
+        assert recognize_single_crossing(inst) is not None
 
 
 def _profile(rng, n, m, shape, mutate):
@@ -415,9 +417,10 @@ def test_single_peaked_row_guardrail_boundary():
     inst = make_instance([[j for j in range(30)] for _ in range(4)], budget=5)
     assert len(sp_rows_by_definition(inst)) == 112
     message = "^single-peaked recognition needs more than 111 constraint rows$"
-    with pytest.raises(GuardrailError, match=message):
-        recognize_single_peaked(inst, max_rows=111)
-    assert recognize_single_peaked(inst, max_rows=112) == tuple(range(30))
+    with row_cap(111), pytest.raises(GuardrailError, match=message):
+        recognize_single_peaked(inst)
+    with row_cap(112):
+        assert recognize_single_peaked(inst) == tuple(range(30))
 
 
 def test_single_peaked_row_guardrail_counts_every_duplicate_voter():
@@ -428,9 +431,10 @@ def test_single_peaked_row_guardrail_counts_every_duplicate_voter():
     inst = make_instance([a, b, a, b, a], budget=5)
     assert len(sp_rows_by_definition(inst)) == 88
     message = "^single-peaked recognition needs more than 87 constraint rows$"
-    with pytest.raises(GuardrailError, match=message):
-        recognize_single_peaked(inst, max_rows=87)
-    assert recognize_single_peaked(inst, max_rows=88) == sp_order_by_rows(inst)
+    with row_cap(87), pytest.raises(GuardrailError, match=message):
+        recognize_single_peaked(inst)
+    with row_cap(88):
+        assert recognize_single_peaked(inst) == sp_order_by_rows(inst)
 
 
 def test_recognizers_compare_huge_utilities_exactly():

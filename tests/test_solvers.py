@@ -60,6 +60,7 @@ from helpers import (
     greedy_by_definition,
     ordered_table_by_enumeration,
     relax_by_definition,
+    seed_size,
     subset_value,
 )
 
@@ -757,10 +758,10 @@ def test_greedy_matches_its_definition_at_every_seed_size(inst):
     # chains are longest from seeds of size 1, and there most of them reach a
     # set another chain reached, where greedy merges them
     for size in (1, 2, 3):
-        opts = SolveOptions(greedy_seed_size=size)
-        for kind, label in KINDS:
-            expected = greedy_by_definition(inst, label, size)
-            assert solve_greedy(inst, kind, opts).knapsack == expected
+        with seed_size(size):
+            for kind, label in KINDS:
+                expected = greedy_by_definition(inst, label, size)
+                assert solve_greedy(inst, kind).knapsack == expected
 
 
 def test_greedy_matches_its_definition_over_several_blocks_of_seeds():
@@ -774,9 +775,9 @@ def test_greedy_matches_its_definition_over_several_blocks_of_seeds():
     items = sum(any(row[j] for row in rows) for j in range(60))
     pairs = sum(a + b <= inst.budget for a, b in itertools.combinations(costs, 2))
     assert pairs > 2 * (2**15 // items)  # at least three blocks
-    opts = SolveOptions(greedy_seed_size=2)
-    for kind, label in KINDS:
-        assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 2)
+    with seed_size(2):
+        for kind, label in KINDS:
+            assert solve_greedy(inst, kind).knapsack == greedy_by_definition(inst, label, 2)
 
 
 @pytest.mark.parametrize(
@@ -796,13 +797,13 @@ def test_greedy_step_arrays_are_items_by_chains(voters, items, density):
     ]
     costs = [rng.randint(1, 9) for _ in range(items)]
     inst = make_instance(rows, costs=costs, budget=sum(costs) // 10)
-    opts = SolveOptions(greedy_seed_size=2)  # 1,770 or 190 pairs
-    tracemalloc.start()
-    try:
-        sol = solve_greedy(inst, Objective.DIVERSE, opts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with seed_size(2):  # 1,770 or 190 pairs
+        tracemalloc.start()
+        try:
+            sol = solve_greedy(inst, Objective.DIVERSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 12 * 8 * 2**15
     assert sol.total_cost <= inst.budget
 
@@ -824,13 +825,13 @@ def test_fair_greedy_step_on_python_ints_stays_within_the_block():
     # every chain and finds that none fits
     inst = make_instance(rows, costs=[1] * 16, budget=2)
     assert len(set(inst.utilities)) == 284
-    opts = SolveOptions(greedy_seed_size=2)
-    tracemalloc.start()
-    try:
-        sol = solve_greedy(inst, Objective.FAIR, opts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with seed_size(2):
+        tracemalloc.start()
+        try:
+            sol = solve_greedy(inst, Objective.FAIR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 160 * 2**15
     assert sol.knapsack == greedy_by_definition(inst, "fair", 2)
 
@@ -845,10 +846,9 @@ def test_fair_greedy_time_does_not_grow_with_the_utilities():
     start = time.perf_counter()
     solve_greedy(inst, Objective.FAIR)
     assert time.perf_counter() - start < 2
-    opts = SolveOptions(greedy_seed_size=1)
-    assert solve_greedy(inst, Objective.FAIR, opts).knapsack == greedy_by_definition(
-        inst, "fair", 1
-    )
+    with seed_size(1):
+        sol = solve_greedy(inst, Objective.FAIR)
+    assert sol.knapsack == greedy_by_definition(inst, "fair", 1)
 
 
 def test_fair_greedy_time_does_not_grow_with_the_costs():
@@ -875,7 +875,8 @@ def test_fair_greedy_exact_tie_at_huge_unequal_costs_finishes():
         budget=39525165573275800143,
     )
     start = time.perf_counter()
-    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    with seed_size(1):
+        sol = solve_greedy(inst, Objective.FAIR)
     assert time.perf_counter() - start < 2
     assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (1, 3, 4)
 
@@ -891,7 +892,8 @@ def test_fair_greedy_exact_tie_at_coprime_huge_costs_finishes():
         2**62 + 2,
     )
     start = time.perf_counter()
-    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    with seed_size(1):
+        sol = solve_greedy(inst, Objective.FAIR)
     assert time.perf_counter() - start < 2
     assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (0, 2)
 
@@ -944,10 +946,10 @@ def _behind_fillers(front, late, budget):
 def test_greedy_bound_keeps_the_chains_that_tie_the_best(kinds, front, late, budget, expected):
     # dropping a chain whose bound only ties the best changes each answer
     inst = _behind_fillers(front, late, budget)
-    opts = SolveOptions(greedy_seed_size=1)
-    for kind in kinds:
-        assert solve_greedy(inst, kind, opts).knapsack == expected
-        assert greedy_by_definition(inst, kind, 1) == expected
+    with seed_size(1):
+        for kind in kinds:
+            assert solve_greedy(inst, kind).knapsack == expected
+            assert greedy_by_definition(inst, kind, 1) == expected
 
 
 @pytest.mark.parametrize("extra", (0, 1), ids=("at the cap", "past the cap"))
@@ -965,9 +967,9 @@ def test_fair_greedy_table_cap(monkeypatch, extra):
         solvers, "_log1p_ratio", lambda u, t: sizes.append(u.size) or real(u, t)
     )
     for size in (1, 2, 3):
-        opts = SolveOptions(greedy_seed_size=size)
         expected = greedy_by_definition(inst, "fair", size)
-        assert solve_greedy(inst, Objective.FAIR, opts).knapsack == expected
+        with seed_size(size):
+            assert solve_greedy(inst, Objective.FAIR).knapsack == expected
     assert (2**15 in sizes) == (extra == 0)  # the table, built in one call
 
 
@@ -978,11 +980,10 @@ def test_greedy_chains_that_run_out_first_raise_no_float_error():
     inst = make_instance(
         [[2, 0, 1, 1, 0], [0, 3, 0, 1, 2], [1, 1, 0, 0, 1]], costs=[4, 1, 5, 2, 1], budget=5
     )
-    opts = SolveOptions(greedy_seed_size=1)
-    with np.errstate(all="raise"), warnings.catch_warnings():
+    with seed_size(1), np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, label in KINDS:
-            assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 1)
+            assert solve_greedy(inst, kind).knapsack == greedy_by_definition(inst, label, 1)
 
 
 @pytest.mark.parametrize(
@@ -1001,10 +1002,10 @@ def test_greedy_chain_from_the_empty_set_stops_early(rows, costs, budget):
     # the budget holds no more, and does not run without utilities
     inst = make_instance(rows, costs=costs, budget=budget)
     for size in (1, 2, 3):
-        opts = SolveOptions(greedy_seed_size=size)
-        for kind, label in KINDS:
-            expected = greedy_by_definition(inst, label, size)
-            assert solve_greedy(inst, kind, opts).knapsack == expected
+        with seed_size(size):
+            for kind, label in KINDS:
+                expected = greedy_by_definition(inst, label, size)
+                assert solve_greedy(inst, kind).knapsack == expected
 
 
 def test_greedy_seeds_that_spend_the_budget_sum_no_terms(monkeypatch):
@@ -1066,9 +1067,9 @@ def test_greedy_carried_scores_over_long_chains(scale):
         (2, ladder, Objective.DIVERSE, "diverse"),
     )
     for size, inst, kind, label in cases:
-        opts = SolveOptions(greedy_seed_size=size)
         expected = greedy_by_definition(inst, label, size)
-        assert solve_greedy(inst, kind, opts).knapsack == expected
+        with seed_size(size):
+            assert solve_greedy(inst, kind).knapsack == expected
         assert len(expected) >= 30 or inst is ladder
 
 
@@ -1125,9 +1126,9 @@ def test_greedy_takes_budgets_past_float_range():
         )
         for kind, label in KINDS:
             for size in (1, 2):
-                opts = SolveOptions(greedy_seed_size=size)
                 expected = greedy_by_definition(inst, label, size)
-                assert solve_greedy(scaled, kind, opts).knapsack == expected
+                with seed_size(size):
+                    assert solve_greedy(scaled, kind).knapsack == expected
 
 
 # Greedy takes every cost as a log in its keys and its bound, so costs of
@@ -1151,9 +1152,9 @@ def test_fair_greedy_takes_costs_past_float_range(factor):
             budget=inst.budget * factor + rng.randrange(factor),
         )
         for size in (1, 2, 3):
-            opts = SolveOptions(greedy_seed_size=size)
             expected = greedy_by_definition(inst, "fair", size)
-            assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
+            with seed_size(size):
+                assert solve_greedy(scaled, Objective.FAIR).knapsack == expected
 
 
 @pytest.mark.parametrize("inst", SKEWED_CASES, ids=range(len(SKEWED_CASES)))
@@ -1174,11 +1175,11 @@ def test_fair_greedy_pads_skewed_columns_past_float_range(inst):
         budget=inst.budget,
     )
     for size in (1, 2, 3):
-        opts = SolveOptions(greedy_seed_size=size)
-        expected = greedy_by_definition(inst, "fair", size)
-        assert solve_greedy(scaled, Objective.FAIR, opts).knapsack == expected
-        expected = greedy_by_definition(wide, "fair", size)
-        assert solve_greedy(wide, Objective.FAIR, opts).knapsack == expected
+        with seed_size(size):
+            expected = greedy_by_definition(inst, "fair", size)
+            assert solve_greedy(scaled, Objective.FAIR).knapsack == expected
+            expected = greedy_by_definition(wide, "fair", size)
+            assert solve_greedy(wide, Objective.FAIR).knapsack == expected
 
 
 def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
@@ -1192,8 +1193,8 @@ def test_fair_greedy_takes_an_item_whose_terms_are_past_float_range():
         costs = [2, 2, 3 * 10**309, 2]
         inst = make_instance([[2, 2, 1, 10**400]], costs=costs, budget=budget)
         for size in (1, 2, 3):
-            opts = SolveOptions(greedy_seed_size=size)
-            assert solve_greedy(inst, Objective.FAIR, opts).knapsack == (0, 1, 3)
+            with seed_size(size):
+                assert solve_greedy(inst, Objective.FAIR).knapsack == (0, 1, 3)
             assert greedy_by_definition(inst, "fair", size) == (0, 1, 3)
 
 
@@ -1208,7 +1209,8 @@ def test_fair_greedy_exact_tie_test_takes_costs_past_float_range():
     assert _denser_fair(9, 1, 2 * big, 3, 1, big + 1)
     rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     inst = Instance(("a", "b", "c"), (big, big + 1, 1), rows, big + 2)
-    sol = solve_greedy(inst, Objective.FAIR, SolveOptions(greedy_seed_size=1))
+    with seed_size(1):
+        sol = solve_greedy(inst, Objective.FAIR)
     assert sol.knapsack == brute_force(inst, Objective.FAIR).knapsack == (0, 2)
 
 
@@ -1240,9 +1242,9 @@ def test_greedy_merges_chains_on_either_side_of_62_items(m):
         costs=[costs[j % 13] for j in range(m)],
         budget=9,
     )
-    opts = SolveOptions(greedy_seed_size=1)
-    for kind, label in KINDS:
-        assert solve_greedy(inst, kind, opts).knapsack == greedy_by_definition(inst, label, 1)
+    with seed_size(1):
+        for kind, label in KINDS:
+            assert solve_greedy(inst, kind).knapsack == greedy_by_definition(inst, label, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1373,12 +1375,8 @@ def test_options_must_be_positive():
         SolveOptions(max_bruteforce_items=0)
     with pytest.raises(ValidationError):
         SolveOptions(max_dp_cells=-1)
-    with pytest.raises(ValidationError):
-        SolveOptions(greedy_seed_size=0)
     with pytest.raises(ValidationError, match="^max_dp_cells must be an integer$"):
         SolveOptions(max_dp_cells="5")
-    with pytest.raises(ValidationError, match="^greedy_seed_size must be an integer$"):
-        SolveOptions(greedy_seed_size=2.5)
     with pytest.raises(ValidationError, match="^max_bruteforce_items must be an integer$"):
         SolveOptions(max_bruteforce_items=True)
 
